@@ -21,8 +21,8 @@ from weaver.exact import (
     _check_cap,
     _check_leaf_index,
     as_exact_probability,
+    geometric_triangle_row,
     pmf_point,
-    realization_value,
 )
 
 
@@ -86,16 +86,22 @@ def exact_moment(
 ) -> Fraction:
     """j-th raw moment by exact enumeration over all 2**n leaves.
 
+    With p = a/d the mass at leaf k is a**e * (d-a)**(n-e) / d**n for
+    e = ones(k), and the support point is k / (2**n - 1); the sum runs
+    over integer numerators and is divided once at the end.
+
     Strictly decreasing in j for fixed parameters, since every interior
     support point lies strictly inside (0, 1).
     """
     if j < 1:
         raise RangeError(f"moment order must be positive, got {j}")
     _check_cap(params.n, cap, "moment enumeration")
-    total = Fraction(0)
-    for k in range(1 << params.n):
-        total += pmf_point(k, params) * realization_value(k, params.n) ** j
-    return total
+    n = params.n
+    a, d = params.p.numerator, params.p.denominator
+    weights = [a**e * (d - a) ** (n - e) for e in range(n + 1)]
+    row = geometric_triangle_row(n, cap)
+    total = sum(weights[e] * k**j for k, e in enumerate(row))
+    return Fraction(total, d**n * ((1 << n) - 1) ** j)
 
 
 def variance_decomposition(n: int, p: Fraction | str | float) -> DecompositionRow:

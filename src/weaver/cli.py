@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from io import StringIO
 from typing import Any
@@ -35,20 +34,6 @@ from weaver.parents import (
 CAP_ENV_VAR = "WEAVER_MATERIALIZATION_CAP"
 
 COMMANDS = ("pmf", "cdf", "triangle", "moments", "decompose", "sample", "converge", "density")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    n: int
-    p: Fraction
-    parents: tuple[ParentDistribution, ParentDistribution] | None
-    replications: int
-    seed: int
-    format: str
-    output: str
-    resolution: int | None = None
-    max_order: int = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -175,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="pair of populations, e.g. 'gauss:0,1;gauss:1,1'",
     )
     sub.add_argument("--reps", type=_positive_int, default=10000)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_non_negative_int, default=0)
 
     sub = add("converge", "variance ratio against its limit 1/3 for depths 1..n")
     sub.add_argument("--n", type=_positive_int, default=40)
@@ -188,21 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_config(argv: list[str]) -> RunConfig:
-    """Parse and validate argv into a RunConfig; usage errors exit with 1."""
-    args = build_parser().parse_args(argv)
-    return RunConfig(
-        command=args.command,
-        n=args.n,
-        p=getattr(args, "p", Fraction(1, 2)),
-        parents=getattr(args, "parents", None),
-        replications=getattr(args, "reps", 1),
-        seed=getattr(args, "seed", 0),
-        format=args.format,
-        output=args.output,
-        resolution=getattr(args, "resolution", None),
-        max_order=getattr(args, "max_order", 4),
-    )
+def parse_config(argv: list[str]) -> argparse.Namespace:
+    """Parse and validate argv; usage errors exit with 1."""
+    return build_parser().parse_args(argv)
 
 
 def _cell(value: Any) -> list[tuple[str, str]]:
@@ -259,6 +232,10 @@ def _materialization_cap() -> int:
         cap = int(raw)
     except ValueError:
         raise WeaverError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}")
+    if not 0 <= cap <= exact.MATERIALIZATION_CAP:
+        raise WeaverError(
+            f"{CAP_ENV_VAR} must lie in [0, {exact.MATERIALIZATION_CAP}], got {cap}"
+        )
     print(
         f"warning: materialization cap overridden to {cap} via {CAP_ENV_VAR} "
         f"(default {exact.MATERIALIZATION_CAP})",
@@ -267,20 +244,20 @@ def _materialization_cap() -> int:
     return cap
 
 
-def _pmf_rows(config: RunConfig, cap: int) -> list[dict[str, Any]]:
-    params = WeaverParams(n=config.n, p=config.p)
+def _pmf_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:
+    params = WeaverParams(n=args.n, p=args.p)
     dist = exact.build_pmf_vector(params, cap=cap)
-    assert dist.pmf is not None
     return [
-        {"k": k, "y": exact.realization_value(k, config.n), "p": mass}
+        {"k": k, "y": exact.realization_value(k, args.n), "p": mass}
         for k, mass in enumerate(dist.pmf)
     ]
 
 
-def _cdf_rows(config: RunConfig, cap: int) -> list[dict[str, Any]]:
-    del cap  # O(n) per point, no materialization
-    params = WeaverParams(n=config.n, p=config.p)
-    resolution = config.resolution if config.resolution is not None else config.n
+def _cdf_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:
+    params = WeaverParams(n=args.n, p=args.p)
+    resolution = args.resolution if args.resolution is not None else args.n
+    # O(n) per point, but the grid itself has 2**resolution + 1 rows
+    exact._check_cap(resolution, cap, "cdf grid")
     rows = []
     for k in range((1 << resolution) + 1):
         point = DyadicPoint(k=k, n=resolution)
@@ -288,30 +265,30 @@ def _cdf_rows(config: RunConfig, cap: int) -> list[dict[str, Any]]:
     return rows
 
 
-def _triangle_rows(config: RunConfig, cap: int) -> list[dict[str, Any]]:
-    row = exact.geometric_triangle_row(config.n, cap=cap)
+def _triangle_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:
+    row = exact.geometric_triangle_row(args.n, cap=cap)
     return [{"k": k, "exponent": e} for k, e in enumerate(row)]
 
 
-def _moments_rows(config: RunConfig, cap: int) -> list[dict[str, Any]]:
-    params = WeaverParams(n=config.n, p=config.p)
+def _moments_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:
+    params = WeaverParams(n=args.n, p=args.p)
     rows = [
         {"statistic": "mean", "value": analysis.exact_mean(params)},
         {"statistic": "variance", "value": analysis.exact_variance(params)},
-        {"statistic": "limit_variance", "value": analysis.limit_variance(config.p)},
+        {"statistic": "limit_variance", "value": analysis.limit_variance(args.p)},
     ]
-    for j in range(1, config.max_order + 1):
+    for j in range(1, args.max_order + 1):
         rows.append(
             {"statistic": f"moment_{j}", "value": analysis.exact_moment(params, j, cap=cap)}
         )
     return rows
 
 
-def _decompose_rows(config: RunConfig, cap: int) -> list[dict[str, Any]]:
+def _decompose_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:
     del cap
     rows = []
-    for n in range(1, config.n + 1):
-        split = analysis.variance_decomposition(n, config.p)
+    for n in range(1, args.n + 1):
+        split = analysis.variance_decomposition(n, args.p)
         rows.append(
             {
                 "n": split.n,
@@ -325,18 +302,15 @@ def _decompose_rows(config: RunConfig, cap: int) -> list[dict[str, Any]]:
     return rows
 
 
-def _sample_rows(config: RunConfig, cap: int) -> list[dict[str, Any]]:
+def _sample_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:
     del cap
-    assert config.parents is not None
-    h0, h1 = standardize_parents(*config.parents)
-    report = sampler.monte_carlo_moments(
-        config.n, h0, h1, config.p, config.replications, config.seed
-    )
+    h0, h1 = standardize_parents(*args.parents)
+    report = sampler.monte_carlo_moments(args.n, h0, h1, args.p, args.reps, args.seed)
     return [
         {
-            "n": config.n,
-            "p": config.p,
-            "seed": config.seed,
+            "n": args.n,
+            "p": args.p,
+            "seed": args.seed,
             "replications": report.replications,
             "empirical_mean": report.empirical_mean,
             "empirical_variance": report.empirical_variance,
@@ -348,30 +322,26 @@ def _sample_rows(config: RunConfig, cap: int) -> list[dict[str, Any]]:
     ]
 
 
-def _converge_rows(config: RunConfig, cap: int) -> list[dict[str, Any]]:
+def _converge_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:
     del cap
-    p = config.p
+    p = args.p
     bernoulli_variance = p * (1 - p)
     rows = []
-    for n in range(1, config.n + 1):
+    for n in range(1, args.n + 1):
         variance = analysis.exact_variance(WeaverParams(n=n, p=p))
         rows.append({"n": n, "variance": variance, "ratio": variance / bernoulli_variance})
     return rows
 
 
-def _density_rows(config: RunConfig, cap: int) -> list[dict[str, Any]]:
-    params = WeaverParams(n=config.n, p=config.p)
-    dist = exact.build_pmf_vector(params, cap=cap)
-    assert dist.pmf is not None
-    scale = 1 << config.n
+def _density_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:
+    params = WeaverParams(n=args.n, p=args.p)
+    exact._check_cap(args.n, cap, "pmf vector")
+    scale = 1 << args.n
+    densities = [scale * height for height, _ in exact.jump_spectrum(params)]
+    edges = [Fraction(k, scale) for k in range(scale + 1)]
     return [
-        {
-            "k": k,
-            "left": Fraction(k, scale),
-            "right": Fraction(k + 1, scale),
-            "density": scale * mass,
-        }
-        for k, mass in enumerate(dist.pmf)
+        {"k": k, "left": edges[k], "right": edges[k + 1], "density": densities[e]}
+        for k, e in enumerate(exact.geometric_triangle_row(args.n, cap))
     ]
 
 
@@ -388,11 +358,11 @@ _ROW_BUILDERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    config = parse_config(sys.argv[1:] if argv is None else argv)
+    args = parse_config(sys.argv[1:] if argv is None else argv)
     try:
         cap = _materialization_cap()
-        rows = _ROW_BUILDERS[config.command](config, cap)
-        return emit_table(rows, config.format, config.output)
+        rows = _ROW_BUILDERS[args.command](args, cap)
+        return emit_table(rows, args.format, args.output)
     except WeaverError as err:
         print(f"weaver: error: {err}", file=sys.stderr)
         return 2

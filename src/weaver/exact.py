@@ -24,8 +24,10 @@ from weaver.errors import CapacityError, RangeError, RefinementError
 
 #: Largest depth for which full vectors of 2**n rationals may be
 #: materialized.  Beyond the cap only pointwise / streaming queries are
-#: allowed; every closed form here is O(n) per point.
-MATERIALIZATION_CAP = 24
+#: allowed; every closed form here is O(n) per point.  Peak memory of a
+#: full table doubles with each depth: `density --format json` peaks near
+#: 2 GiB at depth 19 and needs over 4 GiB at depth 20.
+MATERIALIZATION_CAP = 19
 
 
 def as_exact_probability(value: Fraction | str | float | int) -> Fraction:
@@ -118,18 +120,10 @@ class SelectionPath:
 
 @dataclass(frozen=True)
 class WeaverDist:
-    """W(n, p) together with an optionally materialized pmf vector."""
+    """W(n, p) together with its materialized pmf vector."""
 
     params: WeaverParams
-    pmf: tuple[Fraction, ...] | None = None
-
-    def mass(self, k: int) -> Fraction:
-        """Mass at leaf k, from the vector if present, else pointwise."""
-        if self.pmf is not None:
-            if not 0 <= k < len(self.pmf):
-                raise RangeError(f"k={k} outside [0, {len(self.pmf) - 1}]")
-            return self.pmf[k]
-        return pmf_point(k, self.params)
+    pmf: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -198,19 +192,17 @@ def pmf_point_log2(k: int, params: WeaverParams) -> float:
 
 
 def build_pmf_vector(params: WeaverParams, cap: int = MATERIALIZATION_CAP) -> WeaverDist:
-    """Materialize the full pmf vector of W(n, p) by prefix doubling.
+    """Materialize the full pmf vector of W(n, p).
 
-    Starting from the one-entry vector (1,), each selection concatenates
-    the scaled halves: v -> ((1-p)*v, p*v).  Entry k of the result
+    The mass at leaf k depends on k only through ones(k), so entry k is
+    the :func:`jump_spectrum` height indexed by entry k of the exponent
+    row; the 2**n entries share those n+1 Fraction objects.  Entry k
     equals :func:`pmf_point` at k and the entries sum to 1 exactly.
     """
     _check_cap(params.n, cap, "pmf vector")
-    p = params.p
-    q = 1 - p
-    vec: list[Fraction] = [Fraction(1)]
-    for _ in range(params.n):
-        vec = [q * m for m in vec] + [p * m for m in vec]
-    return WeaverDist(params=params, pmf=tuple(vec))
+    heights = [height for height, _ in jump_spectrum(params)]
+    row = geometric_triangle_row(params.n, cap)
+    return WeaverDist(params=params, pmf=tuple(map(heights.__getitem__, row)))
 
 
 def geometric_triangle_row(n: int, cap: int = MATERIALIZATION_CAP) -> list[int]:
@@ -225,18 +217,18 @@ def geometric_triangle_row(n: int, cap: int = MATERIALIZATION_CAP) -> list[int]:
     _check_cap(n, cap, "triangle row")
     row = [0]
     for _ in range(n):
-        row = row + [e + 1 for e in row]
+        row += [e + 1 for e in row]
     return row
 
 
 def exponent_sum(n: int) -> int:
-    """Sum of row n of the exponent triangle, via s(n+1) = 2*s(n) + 2**n."""
+    """Sum of row n of the exponent triangle: n * 2**(n-1).
+
+    Each of the n bits is set in half of the 2**n leaves.
+    """
     if n < 0:
         raise RangeError(f"row index must be non-negative, got {n}")
-    s = 0
-    for j in range(n):
-        s = 2 * s + (1 << j)
-    return s
+    return (n << n) >> 1
 
 
 def cdf_at_dyadic(point: DyadicPoint, params: WeaverParams) -> Fraction:

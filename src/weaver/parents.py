@@ -28,7 +28,7 @@ class ParentDistribution:
 
     ``params`` are the natural parameters of the base family:
     point-mass ``(c,)``, bernoulli ``(q,)``, uniform-interval ``(a, b)``
-    with a < b, gaussian ``(mean, variance)``.
+    with a < b, gaussian ``(mean, variance)``; all must be finite.
     """
 
     family: str
@@ -39,6 +39,8 @@ class ParentDistribution:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise RangeError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        if not all(math.isfinite(value) for value in self.params):
+            raise RangeError(f"{self.family} parameters must be finite, got {self.params}")
 
     @property
     def mean(self) -> float:
@@ -127,6 +129,12 @@ def standardize_parents(
             "two centres of gravity is possible"
         )
     slope = 1.0 / (mu1 - mu0)
+    # a spread that overflows to +-inf leaves a slope of 0
+    if not math.isfinite(slope) or slope == 0.0:
+        raise DegeneracyError(
+            f"parent means {mu0} and {mu1} admit no finite standardizing slope "
+            "in binary64"
+        )
 
     def _apply(h: ParentDistribution) -> ParentDistribution:
         return replace(h, scale=h.scale * slope, shift=(h.shift - mu0) * slope)

@@ -16,9 +16,10 @@ depths = st.integers(min_value=1, max_value=10)
 
 
 def enumerated_moment(n: int, p: Fraction, j: int) -> Fraction:
-    dist = build_pmf_vector(WeaverParams(n=n, p=p))
+    # the halving cascade, not the exponent row that exact_moment reads
+    masses = analysis.pmodel_cell_masses(n, p)
     return sum(
-        (mass * realization_value(k, n) ** j for k, mass in enumerate(dist.pmf)),
+        (mass * realization_value(k, n) ** j for k, mass in enumerate(masses)),
         Fraction(0),
     )
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from weaver import cli
+from weaver import analysis, cli, exact
 
 
 def run_cli(capsys, *argv):
@@ -93,6 +93,15 @@ class TestOtherTables:
         assert rows[0]["left_exact"] == "0"
         assert rows[1]["right_exact"] == "1"
 
+    def test_density_matches_halving_cascade(self, capsys):
+        _, out, _ = run_cli(capsys, "density", "--n", "6", "--p", "7/10")
+        rows = csv_rows(out)
+        masses = analysis.pmodel_cell_masses(6, Fraction(7, 10))
+        assert [Fraction(row["density_exact"]) for row in rows] == [64 * m for m in masses]
+        for k, row in enumerate(rows):
+            assert Fraction(row["left_exact"]) == Fraction(k, 64)
+            assert Fraction(row["right_exact"]) == Fraction(k + 1, 64)
+
 
 class TestSampleCommand:
     def test_report_fields(self, capsys):
@@ -142,6 +151,8 @@ class TestUsageErrors:
             ("sample", "--n", "4", "--p", "1/2", "--parents", "gauss:0,1"),
             ("sample", "--n", "4", "--p", "1/2", "--parents", "warp:0,1;gauss:1,1"),
             ("no-such-command",),
+            ("sample", "--n", "4", "--p", "1/2", "--seed", "-1"),
+            ("sample", "--n", "4", "--p", "1/2", "--parents", "gauss:0,nan;gauss:1,1"),
         ],
     )
     def test_exit_1(self, capsys, argv):
@@ -155,6 +166,20 @@ class TestRuntimeErrors:
         code, _, err = run_cli(capsys, "pmf", "--n", "30", "--p", "1/2")
         assert code == 2
         assert "materialization cap" in err
+
+    def test_cdf_capacity_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "cdf", "--n", "30", "--p", "1/3")
+        assert code == 2
+        assert out == ""
+        assert "cdf grid needs 2**30 entries" in err
+
+    def test_degenerate_slope_exit_2(self, capsys):
+        code, _, err = run_cli(
+            capsys, "sample", "--n", "4", "--p", "1/2",
+            "--parents", "point:0;point:1e-320", "--reps", "200",
+        )
+        assert code == 2
+        assert "standardizing slope" in err
 
     def test_unwritable_output_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -188,6 +213,23 @@ class TestCapOverride:
         monkeypatch.setenv(cli.CAP_ENV_VAR, "many")
         code, _, err = run_cli(capsys, "pmf", "--n", "2", "--p", "1/2")
         assert code == 2
+
+    @pytest.mark.parametrize("value", [-3, exact.MATERIALIZATION_CAP + 1])
+    def test_out_of_range_value_exit_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv(cli.CAP_ENV_VAR, str(value))
+        code, out, err = run_cli(capsys, "pmf", "--n", "2", "--p", "1/2")
+        assert code == 2
+        assert out == ""
+        assert f"must lie in [0, {exact.MATERIALIZATION_CAP}]" in err
+
+    def test_cdf_cap_bounds_the_resolution_not_the_depth(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.CAP_ENV_VAR, "3")
+        code, out, _ = run_cli(capsys, "cdf", "--n", "10", "--p", "1/3", "--resolution", "3")
+        assert code == 0
+        assert len(csv_rows(out)) == 9
+        code, _, err = run_cli(capsys, "cdf", "--n", "10", "--p", "1/3", "--resolution", "4")
+        assert code == 2
+        assert "cdf grid" in err
 
 
 class TestFileOutput:

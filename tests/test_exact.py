@@ -176,9 +176,14 @@ class TestPmf:
     def test_dist_mass_accessor(self):
         params = WeaverParams(n=4, p=Fraction(1, 3))
         dist = build_pmf_vector(params)
-        assert dist.mass(9) == pmf_point(9, params)
+        assert dist.pmf[9] == pmf_point(9, params)
         with pytest.raises(RangeError):
-            dist.mass(16)
+            pmf_point(16, params)
+
+    @given(n=depths, p=probabilities)
+    def test_entries_share_the_jump_heights(self, n, p):
+        pmf = build_pmf_vector(WeaverParams(n=n, p=p)).pmf
+        assert len({id(mass) for mass in pmf}) <= n + 1
 
 
 class TestRealizations:

@@ -1,5 +1,6 @@
 """Parent populations, path sampling, full runs, and Monte Carlo reports."""
 
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -41,6 +42,20 @@ class TestParents:
         with pytest.raises(RangeError):
             gaussian(0.0, -1.0)
 
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            (point_mass, (math.nan,)),
+            (bernoulli, (math.nan,)),
+            (uniform_interval, (-math.inf, 0.0)),
+            (gaussian, (math.nan, 1.0)),
+            (gaussian, (0.0, math.inf)),
+        ],
+    )
+    def test_validation_rejects_non_finite(self, family, params):
+        with pytest.raises(RangeError):
+            family(*params)
+
     def test_draw_statistics(self):
         rng = np.random.default_rng(42)
         for parent in (point_mass(2.0), bernoulli(0.3), uniform_interval(-1, 3), gaussian(5, 4)):
@@ -77,6 +92,11 @@ class TestParents:
     def test_standardize_rejects_equal_means(self):
         with pytest.raises(DegeneracyError):
             standardize_parents(gaussian(1.0, 1.0), gaussian(1.0, 2.0))
+
+    @pytest.mark.parametrize("mu0, mu1", [(0.0, 1e-320), (1e308, -1e308)])
+    def test_standardize_rejects_non_finite_slope(self, mu0, mu1):
+        with pytest.raises(DegeneracyError):
+            standardize_parents(point_mass(mu0), point_mass(mu1))
 
     def test_already_standard_pairs_pass_through(self):
         h0, h1 = standardize_parents(*STANDARD)

@@ -16,12 +16,11 @@ import json
 import os
 import sys
 from fractions import Fraction
-from io import StringIO
-from typing import Any
+from typing import Any, Sequence, TextIO
 
 from weaver import analysis, exact, sampler
-from weaver.errors import WeaverError
-from weaver.exact import DyadicPoint, WeaverParams
+from weaver.errors import RangeError, WeaverError
+from weaver.exact import WeaverParams
 from weaver.parents import (
     ParentDistribution,
     bernoulli,
@@ -46,13 +45,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_probability(text: str) -> Fraction:
     try:
-        value = Fraction(text)
+        value = exact.as_exact_probability(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"cannot parse {text!r} as a fraction 'a/b' or a decimal"
         )
-    if not 0 < value < 1:
-        raise argparse.ArgumentTypeError(f"p must lie strictly inside (0, 1), got {text}")
+    try:
+        exact._check_probability(value)
+    except RangeError as err:
+        raise argparse.ArgumentTypeError(str(err))
     return value
 
 
@@ -178,49 +179,80 @@ def parse_config(argv: list[str]) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
-def _cell(value: Any) -> list[tuple[str, str]]:
-    # a Fraction renders as an exact string plus a binary64 column
-    if isinstance(value, Fraction):
-        return [("exact", str(value)), ("approx", repr(float(value)))]
-    if isinstance(value, float):
-        return [("", repr(value))]
-    return [("", str(value))]
+def _write_csv(rows: Sequence[dict[str, Any]], handle: TextIO) -> None:
+    memo: dict[int, str] = {}
+    lookup = memo.get
 
+    def render(value: Any) -> str:
+        # a Fraction renders as an exact string plus a binary64 column
+        if isinstance(value, Fraction):
+            text = memo[id(value)] = f"{value!s},{float(value)!r}"
+            return text
+        return repr(value) if isinstance(value, float) else str(value)
 
-def _render_csv(rows: list[dict[str, Any]]) -> str:
     header: list[str] = []
     for key, value in rows[0].items():
-        for suffix, _ in _cell(value):
-            header.append(f"{key}_{suffix}" if suffix else key)
-    lines = [",".join(header)]
+        header.extend([f"{key}_exact", f"{key}_approx"] if isinstance(value, Fraction) else [key])
+    write = handle.write
+    write(",".join(header) + "\n")
     for row in rows:
-        cells: list[str] = []
-        for value in row.values():
-            cells.extend(text for _, text in _cell(value))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        write(
+            ",".join(
+                [str(v) if type(v) is int else lookup(id(v)) or render(v) for v in row.values()]
+            )
+            + "\n"
+        )
 
 
-def _render_json(rows: list[dict[str, Any]]) -> str:
-    def convert(value: Any) -> Any:
+def _write_json(rows: Sequence[dict[str, Any]], handle: TextIO) -> None:
+    # laid out by hand exactly as json.dumps(rows, indent=2) would, with
+    # each Fraction as an {"exact", "approx"} object; json encodes an
+    # exact int through int.__repr__, so str() spells it the same
+    memo: dict[int, str] = {}
+    lookup = memo.get
+    prefixes: dict[str, str] = {}
+
+    def render(value: Any) -> str:
         if isinstance(value, Fraction):
-            return {"exact": str(value), "approx": float(value)}
-        return value
+            text = memo[id(value)] = (
+                f'{{\n      "exact": {json.dumps(str(value))},'
+                f'\n      "approx": {json.dumps(float(value))}\n    }}'
+            )
+            return text
+        return json.dumps(value)
 
-    payload = [{key: convert(value) for key, value in row.items()} for row in rows]
-    return json.dumps(payload, indent=2) + "\n"
+    write = handle.write
+    separator = "[\n"
+    for row in rows:
+        body = ",\n".join(
+            [
+                (prefixes.get(k) or prefixes.setdefault(k, f"    {json.dumps(k)}: "))
+                + (str(v) if type(v) is int else lookup(id(v)) or render(v))
+                for k, v in row.items()
+            ]
+        )
+        write(f"{separator}  {{\n{body}\n  }}")
+        separator = ",\n"
+    write("\n]\n")
 
 
-def emit_table(rows: list[dict[str, Any]], format: str, output: str) -> int:
-    """Serialize rows to CSV or JSON and write them to a path or stdout."""
+def emit_table(rows: Sequence[dict[str, Any]], format: str, output: str) -> int:
+    """Write rows as CSV or JSON to a path or stdout, one row at a time.
+
+    Every rational appears twice: as an exact fraction string and as a
+    binary64 approximation (two CSV columns, or an {"exact", "approx"}
+    JSON object).  Each distinct value object is rendered once; the memo
+    is keyed by id(), which is safe because ``rows`` keeps every value
+    alive until the table is written.
+    """
     if not rows:
         raise WeaverError("refusing to emit an empty table")
-    text = _render_csv(rows) if format == "csv" else _render_json(rows)
+    write = _write_csv if format == "csv" else _write_json
     if output == "-":
-        sys.stdout.write(text)
+        write(rows, sys.stdout)
     else:
         with open(output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            write(rows, handle)
     return 0
 
 
@@ -256,13 +288,9 @@ def _pmf_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:
 def _cdf_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:
     params = WeaverParams(n=args.n, p=args.p)
     resolution = args.resolution if args.resolution is not None else args.n
-    # O(n) per point, but the grid itself has 2**resolution + 1 rows
-    exact._check_cap(resolution, cap, "cdf grid")
-    rows = []
-    for k in range((1 << resolution) + 1):
-        point = DyadicPoint(k=k, n=resolution)
-        rows.append({"k": k, "v": point.value, "F": exact.cdf_at_dyadic(point, params)})
-    return rows
+    grid = exact.cdf_grid(params, resolution, cap)
+    scale = 1 << resolution
+    return [{"k": k, "v": Fraction(k, scale), "F": value} for k, value in enumerate(grid)]
 
 
 def _triangle_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:

@@ -25,8 +25,8 @@ from weaver.errors import CapacityError, RangeError, RefinementError
 #: Largest depth for which full vectors of 2**n rationals may be
 #: materialized.  Beyond the cap only pointwise / streaming queries are
 #: allowed; every closed form here is O(n) per point.  Peak memory of a
-#: full table doubles with each depth: `density --format json` peaks near
-#: 2 GiB at depth 19 and needs over 4 GiB at depth 20.
+#: full table doubles with each depth: at depth 19 the largest, `cdf
+#: --format json`, peaks near 470 MiB and `density`/`pmf` near 310 MiB.
 MATERIALIZATION_CAP = 19
 
 
@@ -51,6 +51,12 @@ def as_exact_probability(value: Fraction | str | float | int) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact probability")
 
 
+def _check_probability(p: Fraction) -> None:
+    # the endpoints collapse the cascade onto a single leaf
+    if not 0 < p < 1:
+        raise RangeError(f"p must lie strictly inside (0, 1), got {p}")
+
+
 @dataclass(frozen=True)
 class WeaverParams:
     """Parameters of W(n, p): the number of selections and the selection bias.
@@ -68,8 +74,7 @@ class WeaverParams:
         if not isinstance(self.n, int) or self.n < 1:
             raise RangeError(f"n must be a positive integer, got {self.n!r}")
         p = as_exact_probability(self.p)
-        if not 0 < p < 1:
-            raise RangeError(f"p must lie strictly inside (0, 1), got {p}")
+        _check_probability(p)
         object.__setattr__(self, "p", p)
 
     @property
@@ -261,6 +266,36 @@ def cdf_at_dyadic(point: DyadicPoint, params: WeaverParams) -> Fraction:
         else:
             prefix *= q
     return total
+
+
+def cdf_grid(
+    params: WeaverParams, resolution: int, cap: int = MATERIALIZATION_CAP
+) -> list[Fraction]:
+    """Distribution function of W(n, p) at every point k / 2**m, m = resolution.
+
+    The cdf is stable under refinement, so the grid is the running sum
+    of the depth-m masses.  With p = a/d and b = d - a, the depth-m mass
+    at leaf k is a**ones(k) * b**(m - ones(k)) / d**m: the grid is a
+    running sum of integer numerators read through the exponent row, in
+    O(2**m) integer adds.  Entry k equals :func:`cdf_at_dyadic` at
+    k / 2**m, which stays the O(n) point query.
+    """
+    _check_cap(resolution, cap, "cdf grid")
+    if resolution > params.n:
+        raise RefinementError(
+            f"resolution {resolution} exceeds construction depth {params.n}; "
+            "the value is not yet stable"
+        )
+    a, d = params.p.numerator, params.p.denominator
+    b = d - a
+    numerators = [a**e * b ** (resolution - e) for e in range(resolution + 1)]
+    denominator = d**resolution
+    grid = [Fraction(0)]
+    total = 0
+    for numerator in map(numerators.__getitem__, geometric_triangle_row(resolution, cap)):
+        total += numerator
+        grid.append(Fraction(total, denominator))
+    return grid
 
 
 def jump_spectrum(params: WeaverParams) -> list[tuple[Fraction, int]]:

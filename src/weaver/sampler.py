@@ -14,16 +14,16 @@ and may run concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from math import sqrt
+from math import isfinite, sqrt
 from typing import Iterator
 
 import numpy as np
 
 from weaver import analysis
 from weaver.errors import CapacityError, ContractError, RangeError
-from weaver.exact import DyadicPoint, SelectionPath, WeaverParams, as_exact_probability, cdf_at_dyadic
+from weaver.exact import SelectionPath, WeaverParams, as_exact_probability, cdf_grid
 from weaver.parents import ParentDistribution, is_standardized
 
 #: Resolution of the selection Bernoulli: each draw compares a 128-bit
@@ -247,7 +247,9 @@ def monte_carlo_moments(
     term (p*var(h1) + (1-p)*var(h0)) / (2**n - 1) to the exact variance
     of the conditional mean.  The z-score measures the empirical mean
     against its known standard error.  Aggregation is a deterministic
-    pairwise reduction in replication order.
+    pairwise reduction in replication order.  Finite parents can still
+    overflow binary64 here (huge variances); a statistic that is not
+    finite raises :class:`RangeError` instead of being reported.
     """
     if replications < 100:
         raise RangeError(
@@ -255,15 +257,16 @@ def monte_carlo_moments(
         )
     p = as_exact_probability(p)
     means = simulate_mean_ensemble(n, h0, h1, p, replications, seed)
-    empirical_mean = float(np.mean(means))
-    empirical_variance = float(np.var(means, ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        empirical_mean = float(np.mean(means))
+        empirical_variance = float(np.var(means, ddof=1))
     exact_mean = p
     params = WeaverParams(n=n, p=p)
     within = (float(p) * h1.variance + float(1 - p) * h0.variance) / ((1 << n) - 1)
     exact_variance = float(analysis.exact_variance(params)) + within
     standard_error = sqrt(exact_variance / replications)
     z_score = (empirical_mean - float(exact_mean)) / standard_error
-    return MomentReport(
+    report = MomentReport(
         replications=replications,
         empirical_mean=empirical_mean,
         empirical_variance=empirical_variance,
@@ -272,6 +275,13 @@ def monte_carlo_moments(
         standard_error=standard_error,
         z_score=z_score,
     )
+    for field in fields(report):
+        value = getattr(report, field.name)
+        if isinstance(value, float) and not isfinite(value):
+            raise RangeError(
+                f"{field.name} is {value}: the parents' spread overflows binary64"
+            )
+    return report
 
 
 def convergence_ks(
@@ -292,7 +302,7 @@ def convergence_ks(
     shrinks as the within-population term (2**n - 1)**-1 fades; with
     point-mass parents the sample mean already has the exact law, so the
     gap sits at the Monte Carlo floor of order replications**-1/2 at
-    every depth.
+    every depth.  The resolution is bounded by the materialization cap.
     """
     p = as_exact_probability(p)
     if any(d < resolution for d in depths):
@@ -300,19 +310,16 @@ def convergence_ks(
             f"every depth must be at least the grid resolution {resolution}"
         )
     grid_size = 1 << resolution
+    # stable under refinement: the grid is the same at every depth >= resolution
+    # (W(n, p) needs n >= 1, hence the floor for resolution 0)
+    limit = WeaverParams(n=max(resolution, 1), p=p)
+    exact = np.array([float(value) for value in cdf_grid(limit, resolution)[1:-1]])
+    grid = np.arange(1, grid_size) / grid_size
     out: list[tuple[int, float]] = []
     for offset, n in enumerate(depths):
-        params = WeaverParams(n=n, p=p)
-        exact = np.array(
-            [
-                float(cdf_at_dyadic(DyadicPoint(k=k, n=resolution), params))
-                for k in range(1, grid_size)
-            ]
-        )
         means = simulate_mean_ensemble(
             n, h0, h1, p, replications, seed + offset
         )
-        grid = np.arange(1, grid_size) / grid_size
         empirical = np.searchsorted(np.sort(means), grid, side="left") / replications
         out.append((n, float(np.max(np.abs(empirical - exact)))))
     return out

@@ -1,11 +1,19 @@
 """Command-line behaviour: tables, formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import os
 from fractions import Fraction
+from typing import Any
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from weaver import analysis, cli, exact
+from weaver.errors import RangeError
 
 
 def run_cli(capsys, *argv):
@@ -18,6 +26,94 @@ def csv_rows(text):
     header, *lines = text.strip().splitlines()
     names = header.split(",")
     return [dict(zip(names, line.split(","))) for line in lines]
+
+
+# The whole-table renderers that emit_table replaced: the oracle for its
+# streamed output, byte for byte.
+def _cell(value: Any) -> list[tuple[str, str]]:
+    if isinstance(value, Fraction):
+        return [("exact", str(value)), ("approx", repr(float(value)))]
+    if isinstance(value, float):
+        return [("", repr(value))]
+    return [("", str(value))]
+
+
+def _render_csv(rows: list[dict[str, Any]]) -> str:
+    header: list[str] = []
+    for key, value in rows[0].items():
+        for suffix, _ in _cell(value):
+            header.append(f"{key}_{suffix}" if suffix else key)
+    lines = [",".join(header)]
+    for row in rows:
+        cells: list[str] = []
+        for value in row.values():
+            cells.extend(text for _, text in _cell(value))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _render_json(rows: list[dict[str, Any]]) -> str:
+    def convert(value: Any) -> Any:
+        if isinstance(value, Fraction):
+            return {"exact": str(value), "approx": float(value)}
+        return value
+
+    payload = [{key: convert(value) for key, value in row.items()} for row in rows]
+    return json.dumps(payload, indent=2) + "\n"
+
+
+ORACLES = {"csv": _render_csv, "json": _render_json}
+
+
+class TestRendering:
+    COMMANDS = [
+        ("pmf", "--n", "3", "--p", "2/3"),
+        ("cdf", "--n", "4", "--p", "1/3", "--resolution", "3"),
+        ("cdf", "--n", "3", "--p", "1/2"),
+        ("triangle", "--n", "0"),
+        ("triangle", "--n", "4"),
+        ("moments", "--n", "3", "--p", "3/7"),
+        ("decompose", "--n", "4"),
+        ("sample", "--n", "3", "--p", "2/3", "--reps", "100", "--seed", "3"),
+        ("sample", "--n", "4", "--p", "1/3", "--reps", "100", "--parents", "gauss:-5,2;uniform:-1,0"),
+        ("converge", "--n", "3", "--p", "1/4"),
+        ("density", "--n", "3", "--p", "7/10"),
+    ]
+
+    @staticmethod
+    def expected(argv, format):
+        args = cli.parse_config(list(argv))
+        rows = cli._ROW_BUILDERS[args.command](args, exact.MATERIALIZATION_CAP)
+        return ORACLES[format](rows)
+
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+    def test_stdout_matches_oracle(self, capsys, argv, format):
+        code, out, _ = run_cli(capsys, *argv, "--format", format)
+        assert code == 0
+        assert out == self.expected(argv, format)
+
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+    def test_file_matches_oracle(self, capsys, tmp_path, argv, format):
+        target = tmp_path / f"table.{format}"
+        code, out, _ = run_cli(capsys, *argv, "--format", format, "--output", str(target))
+        assert (code, out) == (0, "")
+        assert target.read_bytes() == self.expected(argv, format).encode("utf-8")
+
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    def test_scalars_and_shared_values(self, capsys, format):
+        shared, third = Fraction(-1, 3), Fraction(4)
+        rows = [
+            {"whole": third, "neg": -0.25, "int": -7, "big": 10**30, "flag": True,
+             "text": 'a "b" \u00e9', "tiny": 5e-324, "q": shared},
+            {"whole": Fraction(-3, 1), "neg": -1e300, "int": 0, "big": 257, "flag": False,
+             "text": "", "tiny": -0.0, "q": shared},
+            {"whole": third, "neg": -2.5, "int": -300, "big": -(2**70), "flag": True,
+             "text": "x", "tiny": 1.5, "q": Fraction(-1, 3)},
+        ]
+        assert cli.emit_table(rows, format, "-") == 0
+        assert capsys.readouterr().out == ORACLES[format](rows)
 
 
 class TestPmfCommand:
@@ -160,6 +256,14 @@ class TestUsageErrors:
             cli.main(list(argv))
         assert excinfo.value.code == 1
 
+    def test_probability_range_message_shared_with_params(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["pmf", "--n", "3", "--p", "1.25"])
+        assert excinfo.value.code == 1
+        with pytest.raises(RangeError) as error:
+            exact.WeaverParams(n=3, p="1.25")
+        assert f"argument --p: {error.value}" in capsys.readouterr().err
+
 
 class TestRuntimeErrors:
     def test_capacity_exit_2(self, capsys):
@@ -180,6 +284,23 @@ class TestRuntimeErrors:
         )
         assert code == 2
         assert "standardizing slope" in err
+
+    def test_cdf_resolution_above_depth_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "cdf", "--n", "3", "--p", "1/3", "--resolution", "5")
+        assert code == 2
+        assert out == ""
+        assert "resolution 5 exceeds construction depth 3" in err
+
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    def test_overflowing_sample_statistics_exit_2(self, capsys, format):
+        code, out, err = run_cli(
+            capsys, "sample", "--n", "3", "--p", "1/2", "--reps", "100",
+            "--parents", "gauss:0,1e308;gauss:1,1e308", "--format", format,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("weaver: error: empirical_variance is inf")
 
     def test_unwritable_output_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -249,3 +370,92 @@ class TestFileOutput:
         )
         payload = json.loads(target.read_text())
         assert payload[2]["weaving"] == 21
+
+
+# argv grammar for the fuzz test: every flag of every command, each with
+# values that parse (some of them fail later, at run time) and values that
+# are usage errors
+_FLAG_VALUES = {
+    "--n": (["1", "2", "3", "7", "9"], ["0", "-1", "x", ""]),
+    "--p": (["1/2", "2/3", "0.3", "1e-9"], ["0", "1", "5/4", "-1/2", "1/0", "abc", "nan", "inf"]),
+    "--resolution": (["1", "2", "5"], ["0", "-1", "x"]),
+    "--max-order": (["1", "3"], ["0", "x"]),
+    "--parents": (
+        [
+            "point:0;point:1", "gauss:0,1;gauss:1,1", "bernoulli:0.2;bernoulli:0.7",
+            "uniform:0,1;uniform:1,2", "gauss:0,1e308;gauss:1,1e308", "point:1;point:1",
+            "point:0;point:1e-320", "point:1e308;point:-1e308",
+        ],
+        [
+            "uniform:1,0;point:1", "bernoulli:2;point:0", "gauss:0,nan;gauss:1,1",
+            "gauss:0,-1;gauss:1,1", "warp:1;point:0", "point:0", "point:0,1;point:1",
+        ],
+    ),
+    "--reps": (["100", "150"], ["1", "99", "x"]),
+    "--seed": (["0", "7"], ["-1", "x"]),
+    "--format": (["csv", "json"], ["xml"]),
+}
+_COMMON = ["--format", "--output", "--help", "--bogus"]
+_COMMAND_FLAGS = {
+    "pmf": ["--n", "--p"],
+    "cdf": ["--n", "--p", "--resolution"],
+    "triangle": ["--n"],
+    "moments": ["--n", "--p", "--max-order"],
+    "decompose": ["--n", "--p"],
+    "sample": ["--n", "--p", "--parents", "--reps", "--seed"],
+    "converge": ["--n", "--p"],
+    "density": ["--n", "--p"],
+    "bogus": [],
+}
+
+
+@st.composite
+def _argv(draw, output_path):
+    def value(flag):
+        valid, invalid = _FLAG_VALUES[flag]
+        return draw(st.sampled_from(valid if draw(st.integers(0, 5)) else invalid))
+
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    flags = _COMMAND_FLAGS[command]
+    argv = [command]
+    for flag in flags:
+        if draw(st.integers(0, 9)):  # now and then a required flag is missing
+            argv += [flag, value(flag)]
+    for flag in draw(st.lists(st.sampled_from(flags + _COMMON), max_size=2)):
+        if flag == "--output":
+            argv += [flag, draw(st.sampled_from(["-", output_path]))]
+        elif flag in _FLAG_VALUES and draw(st.integers(0, 5)):
+            argv += [flag, value(flag)]
+        else:
+            argv.append(flag)  # a bare flag, or one without its value
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_output(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz") / "table.out")
+
+
+class TestArgvFuzz:
+    @settings(
+        max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(data=st.data())
+    def test_exit_status_and_output_contract(self, fuzz_output, data):
+        argv = data.draw(_argv(fuzz_output), label="argv")
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ, {cli.CAP_ENV_VAR: "8"}), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exit:
+                code = exit.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        text = out.getvalue()
+        if os.path.exists(fuzz_output):
+            with open(fuzz_output, encoding="utf-8") as handle:
+                text += handle.read()
+            os.remove(fuzz_output)
+        assert "NaN" not in text
+        assert "Infinity" not in text

@@ -15,6 +15,7 @@ from weaver.exact import (
     as_exact_probability,
     build_pmf_vector,
     cdf_at_dyadic,
+    cdf_grid,
     exponent_sum,
     geometric_triangle_row,
     jump_spectrum,
@@ -300,6 +301,34 @@ class TestCdf:
         params = WeaverParams(n=3, p=Fraction(1, 2))
         with pytest.raises(RefinementError):
             cdf_at_dyadic(DyadicPoint(k=1, n=4), params)
+
+
+class TestCdfGrid:
+    """The running-sum grid against the O(n) digit walk, point by point."""
+
+    @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3), Fraction(5, 7)])
+    @pytest.mark.parametrize("n, m", [(1, 1), (6, 6), (9, 9), (9, 4), (12, 0), (12, 7)])
+    def test_matches_point_queries(self, p, n, m):
+        params = WeaverParams(n=n, p=p)
+        assert cdf_grid(params, m) == [
+            cdf_at_dyadic(DyadicPoint(k=k, n=m), params) for k in range((1 << m) + 1)
+        ]
+
+    @given(p=probabilities, n=st.integers(min_value=1, max_value=8), data=st.data())
+    def test_matches_point_queries_for_any_p(self, p, n, data):
+        m = data.draw(st.integers(min_value=0, max_value=n), label="resolution")
+        params = WeaverParams(n=n, p=p)
+        grid = cdf_grid(params, m)
+        assert len(grid) == (1 << m) + 1
+        assert grid == [cdf_at_dyadic(DyadicPoint(k=k, n=m), params) for k in range(len(grid))]
+
+    def test_unstable_resolution_rejected(self):
+        with pytest.raises(RefinementError, match="exceeds construction depth 3"):
+            cdf_grid(WeaverParams(n=3, p=Fraction(1, 2)), 4)
+
+    def test_cap_checked_before_refinement(self):
+        with pytest.raises(CapacityError, match="cdf grid needs 2\\*\\*5 entries"):
+            cdf_grid(WeaverParams(n=3, p=Fraction(1, 2)), 5, cap=4)
 
 
 class TestJumpSpectrum:

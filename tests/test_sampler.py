@@ -10,7 +10,7 @@ import scipy.stats
 
 from weaver import analysis, sampler
 from weaver.errors import CapacityError, ContractError, DegeneracyError, RangeError
-from weaver.exact import SelectionPath, WeaverParams, pmf_point
+from weaver.exact import DyadicPoint, SelectionPath, WeaverParams, cdf_at_dyadic, pmf_point
 from weaver.parents import (
     bernoulli,
     gaussian,
@@ -244,6 +244,12 @@ class TestMonteCarlo:
         with pytest.raises(RangeError):
             sampler.monte_carlo_moments(4, *STANDARD, Fraction(1, 2), 99, seed=0)
 
+    def test_overflowing_statistics_rejected(self):
+        # finite parents whose spread overflows binary64 in the variance
+        h0, h1 = standardize_parents(gaussian(0.0, 1e308), gaussian(1.0, 1e308))
+        with pytest.raises(RangeError, match="empirical_variance is inf"):
+            sampler.monte_carlo_moments(3, h0, h1, Fraction(1, 2), 100, seed=0)
+
     def test_mean_ensemble_reproducible(self):
         a = sampler.simulate_mean_ensemble(5, *STANDARD, Fraction(1, 3), 50, seed=8)
         b = sampler.simulate_mean_ensemble(5, *STANDARD, Fraction(1, 3), 50, seed=8)
@@ -274,6 +280,21 @@ class TestMonteCarlo:
             replications=4000, seed=17,
         )
         assert all(gap < 0.03 for _, gap in distances)
+
+    def test_convergence_against_point_queries(self):
+        # the same samples measured against the O(n) cdf point by point
+        h0, h1 = gaussian(0.0, 1.0), gaussian(1.0, 1.0)
+        p, depths, resolution, reps, seed = Fraction(2, 3), (4, 6), 4, 300, 5
+        distances = sampler.convergence_ks(p, h0, h1, depths, resolution, reps, seed)
+        grid = np.arange(1, 16) / 16
+        for offset, (n, gap) in enumerate(distances):
+            params = WeaverParams(n=n, p=p)
+            exact = np.array(
+                [float(cdf_at_dyadic(DyadicPoint(k=k, n=resolution), params)) for k in range(1, 16)]
+            )
+            means = np.sort(sampler.simulate_mean_ensemble(n, h0, h1, p, reps, seed + offset))
+            empirical = np.searchsorted(means, grid, side="left") / reps
+            assert gap == float(np.max(np.abs(empirical - exact)))
 
     def test_convergence_resolution_validated(self):
         with pytest.raises(RangeError):

@@ -1,25 +1,103 @@
 """Parent populations for exponential sampling.
 
 Four finite-variance families are supported: point masses, Bernoulli,
-uniform intervals, and Gaussians.  Each knows its closed-form mean and
-variance, and carries an optional affine wrapping so that the
-standardizing transform stays inside the type.
+uniform intervals, and Gaussians.  Each family is one table entry: its
+closed-form mean and variance, raw draws, and block sums drawn from its
+sufficient statistic.  A distribution carries an optional affine
+wrapping so that the standardizing transform stays inside the type.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from weaver.errors import DegeneracyError, RangeError
 
-FAMILIES = ("point-mass", "bernoulli", "uniform-interval", "gaussian")
+#: Uniform block sums read raw draws in slabs of at most this many
+#: doubles (1 MiB), so a deep block never holds all its draws at once.
+UNIFORM_SLAB = 1 << 17
 
 #: Absolute slack allowed when checking that a pair of parents has been
 #: standardized to means exactly 0 and 1 (float round-off only).
 STANDARDIZATION_TOL = 1e-12
+
+
+def _uniform_totals(rng: np.random.Generator, sizes: np.ndarray) -> np.ndarray:
+    """Sums of ``sizes[i]`` consecutive raw uniforms on [0, 1), cell after cell.
+
+    The draws come in slabs of at most ``UNIFORM_SLAB``; a cell that
+    straddles a slab boundary adds up its pieces.  Slab boundaries depend
+    only on a cell's offset in the stream, so a prefix of the cells sums
+    to the same values whatever follows it.
+    """
+    totals = np.zeros(len(sizes))
+    if not len(sizes):
+        return totals
+    starts = np.cumsum(sizes) - sizes
+    end = int(starts[-1] + sizes[-1])
+    slab = np.empty(min(UNIFORM_SLAB, end))
+    for lo in range(0, end, UNIFORM_SLAB):
+        values = rng.random(out=slab[: min(UNIFORM_SLAB, end - lo)])
+        first = int(np.searchsorted(starts, lo, side="right")) - 1
+        stop = int(np.searchsorted(starts, lo + len(values), side="left"))
+        offsets = starts[first:stop] - lo
+        offsets[0] = 0  # the cell open at lo continues into this slab
+        totals[first:stop] += np.add.reduceat(values, offsets)
+    return totals
+
+
+@dataclass(frozen=True)
+class _Family:
+    """Closed forms and samplers of one base family, over its ``params``.
+
+    ``draw(rng, size, *params)`` returns ``size`` observations;
+    ``block_sums(rng, sizes, *params)`` returns, for each entry m of
+    ``sizes``, the sum of m observations drawn from its sufficient
+    statistic.
+    """
+
+    mean: Callable[..., float]
+    variance: Callable[..., float]
+    draw: Callable[..., np.ndarray]
+    block_sums: Callable[..., np.ndarray]
+
+
+_FAMILIES = {
+    "point-mass": _Family(
+        mean=lambda c: c,
+        variance=lambda c: 0.0,
+        draw=lambda rng, size, c: np.full(size, c, dtype=np.float64),
+        block_sums=lambda rng, sizes, c: sizes * c,
+    ),
+    "bernoulli": _Family(
+        mean=lambda q: q,
+        variance=lambda q: q * (1.0 - q),
+        draw=lambda rng, size, q: (rng.random(size) < q).astype(np.float64),
+        block_sums=lambda rng, sizes, q: rng.binomial(sizes, q).astype(np.float64),
+    ),
+    "uniform-interval": _Family(
+        mean=lambda a, b: 0.5 * (a + b),
+        variance=lambda a, b: (b - a) ** 2 / 12.0,
+        draw=lambda rng, size, a, b: rng.uniform(a, b, size),
+        block_sums=lambda rng, sizes, a, b: a * sizes + (b - a) * _uniform_totals(rng, sizes),
+    ),
+    # sqrt(m) * sigma rather than sqrt(m * var): a spread that only
+    # overflows in the moments must not already overflow in the draws
+    "gaussian": _Family(
+        mean=lambda mu, var: mu,
+        variance=lambda mu, var: var,
+        draw=lambda rng, size, mu, var: rng.normal(mu, math.sqrt(var), size),
+        block_sums=lambda rng, sizes, mu, var: (
+            mu * sizes + np.sqrt(sizes) * math.sqrt(var) * rng.standard_normal(len(sizes))
+        ),
+    ),
+}
+
+FAMILIES = tuple(_FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -44,50 +122,32 @@ class ParentDistribution:
 
     @property
     def mean(self) -> float:
-        return self.scale * self._base_mean() + self.shift
+        return self.scale * _FAMILIES[self.family].mean(*self.params) + self.shift
 
     @property
     def variance(self) -> float:
-        return self.scale * self.scale * self._base_variance()
-
-    def _base_mean(self) -> float:
-        if self.family == "point-mass":
-            return self.params[0]
-        if self.family == "bernoulli":
-            return self.params[0]
-        if self.family == "uniform-interval":
-            a, b = self.params
-            return 0.5 * (a + b)
-        mu, _ = self.params
-        return mu
-
-    def _base_variance(self) -> float:
-        if self.family == "point-mass":
-            return 0.0
-        if self.family == "bernoulli":
-            q = self.params[0]
-            return q * (1.0 - q)
-        if self.family == "uniform-interval":
-            a, b = self.params
-            return (b - a) ** 2 / 12.0
-        _, var = self.params
-        return var
+        return self.scale * self.scale * _FAMILIES[self.family].variance(*self.params)
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` iid observations as a float64 array."""
-        if self.family == "point-mass":
-            base = np.full(size, self.params[0], dtype=np.float64)
-        elif self.family == "bernoulli":
-            base = (rng.random(size) < self.params[0]).astype(np.float64)
-        elif self.family == "uniform-interval":
-            a, b = self.params
-            base = rng.uniform(a, b, size)
-        else:
-            mu, var = self.params
-            base = rng.normal(mu, math.sqrt(var), size)
+        base = _FAMILIES[self.family].draw(rng, size, *self.params)
         if self.scale == 1.0 and self.shift == 0.0:
             return base
         return base * self.scale + self.shift
+
+    def block_sums(self, rng: np.random.Generator, sizes: np.ndarray) -> np.ndarray:
+        """For each block size m in ``sizes``, the sum of m iid observations.
+
+        Sums come from the family's sufficient statistic (m*c, a binomial
+        count, a Gaussian with mean m*mu and spread sqrt(m)*sigma), so a
+        block costs one draw at most; uniform blocks add up raw draws.
+        Cells consume the stream in order, so the sums of a prefix of
+        ``sizes`` do not depend on what follows it.
+        """
+        base = _FAMILIES[self.family].block_sums(rng, sizes, *self.params)
+        if self.scale == 1.0 and self.shift == 0.0:
+            return base
+        return base * self.scale + sizes * self.shift
 
 
 def point_mass(c: float) -> ParentDistribution:

@@ -6,10 +6,16 @@ observations, for 2**n - 1 observations in total.  The conditional mean
 given the selections is an exact rational and follows W(n, p); the
 unconditional sample mean adds the within-population noise on top.
 
-Reproducibility contract: every ensemble takes one root seed, and
-replication i derives its own independent generator from the pair
-(seed, i) via a spawn-key split, so replications are order-independent
-and may run concurrently.
+Reproducibility contract (stream version 2): an ensemble takes one root
+seed and splits its replications into chunks of ``CHUNK``.  Chunk c
+draws from three streams, ``SeedSequence(entropy=seed, spawn_key=(c,
+purpose))``: purpose 0 holds the 128-bit path words, 1 and 2 the block
+sums of the first and second parent.  Each stream is read in
+(replication, block) order, so replication i is a pure function of
+(seed, i): a shorter ensemble is a prefix of a longer one, and chunks
+are independent of each other.  A caller that needs several ensembles
+from one seed extends the spawn key in front of c (``convergence_ks``
+keys each depth n as ``(n, c, purpose)``).
 """
 
 from __future__ import annotations
@@ -26,6 +32,14 @@ from weaver.errors import CapacityError, ContractError, RangeError
 from weaver.exact import SelectionPath, WeaverParams, as_exact_probability, cdf_grid
 from weaver.parents import ParentDistribution, is_standardized
 
+#: Layout of the ensemble streams described above; realized samples
+#: change whenever it does.
+STREAM_VERSION = 2
+
+#: Replications per chunk of an ensemble.  A chunk's arrays are a few
+#: hundred KiB at the raw draw cap, so memory stays flat in the count.
+CHUNK = 1024
+
 #: Resolution of the selection Bernoulli: each draw compares a 128-bit
 #: uniform integer against the exact binary expansion of p.  The bias is
 #: zero for dyadic p and below 2**-128 otherwise.
@@ -37,13 +51,16 @@ RAW_DRAW_CAP = 30
 #: Selection paths alone need only n Bernoullis.
 PATH_ONLY_CAP = 63
 
+# stream purposes within a chunk
+_PATH_WORDS, _H0_SUMS, _H1_SUMS = 0, 1, 2
+
 
 @dataclass(frozen=True)
 class SampleRun:
     """One realization: the path, the block sums, and the derived means.
 
     ``seed`` is recorded when the run was started from an integer seed
-    and is None when an already-running generator was supplied.
+    and is None when it came from a generator or an ensemble stream.
     """
 
     seed: int | None
@@ -75,14 +92,48 @@ def _as_generator(rng: int | np.random.Generator) -> tuple[np.random.Generator, 
     return np.random.default_rng(seed), seed
 
 
-def _replication_rng(seed: int, index: int) -> np.random.Generator:
-    # counter-based split: stream i is keyed by (root seed, i)
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+def _stream(seed: int, key: tuple[int, ...], chunk: int, purpose: int) -> np.random.Generator:
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(*key, chunk, purpose))
+    )
 
 
 def _selection_threshold(p: Fraction) -> int:
     # floor(p * 2**128); exact for dyadic p, off by < 2**-128 otherwise
     return (p.numerator << BERNOULLI_BITS) // p.denominator
+
+
+def _path_threshold(n: int, p: Fraction | str | float) -> int:
+    if n < 1:
+        raise RangeError(f"n must be positive, got {n}")
+    if n > PATH_ONLY_CAP:
+        raise CapacityError(f"path depth {n} above the path-only cap {PATH_ONLY_CAP}")
+    p = as_exact_probability(p)
+    WeaverParams(n=n, p=p)  # range-check p
+    return _selection_threshold(p)
+
+
+def _draw_words(generator: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    # one uniform 128-bit integer per selection, as (high, low) uint64 words
+    return generator.integers(0, 1 << 64, size=(*shape, 2), dtype=np.uint64)
+
+
+def _selection_bits(words: np.ndarray, threshold: int) -> np.ndarray:
+    """Bernoulli outcomes ``(hi << 64 | lo) < threshold``, one per word pair.
+
+    ``words[..., 0]`` and ``words[..., 1]`` are the high and low halves
+    of each 128-bit uniform; comparing them lexicographically is the
+    exact 128-bit compare.  ``threshold`` is below 2**128 since p < 1.
+    """
+    t_hi, t_lo = (np.uint64(half) for half in divmod(threshold, 1 << 64))
+    hi, lo = words[..., 0], words[..., 1]
+    return (hi < t_hi) | ((hi == t_hi) & (lo < t_lo))
+
+
+def _leaf_indices(selected: np.ndarray) -> np.ndarray:
+    # bit j of the leaf index is the selection for block j + 1
+    shifts = np.arange(selected.shape[-1], dtype=np.uint64)
+    return (selected.astype(np.uint64) << shifts).sum(axis=-1, dtype=np.uint64)
 
 
 def draw_selection_path(
@@ -94,21 +145,10 @@ def draw_selection_path(
     compares a fresh 128-bit uniform integer against the exact threshold
     floor(p * 2**128), so dyadic p is sampled without any bias.
     """
-    if n < 1:
-        raise RangeError(f"n must be positive, got {n}")
-    if n > PATH_ONLY_CAP:
-        raise CapacityError(f"path depth {n} above the path-only cap {PATH_ONLY_CAP}")
-    p = as_exact_probability(p)
-    WeaverParams(n=n, p=p)  # range-check p
+    threshold = _path_threshold(n, p)
     generator, _ = _as_generator(rng)
-    threshold = _selection_threshold(p)
-    words = generator.integers(0, 1 << 64, size=2 * n, dtype=np.uint64)
-    k = 0
-    for j in range(n):
-        u = (int(words[2 * j]) << 64) | int(words[2 * j + 1])
-        if u < threshold:
-            k |= 1 << j
-    return SelectionPath(n=n, k=k)
+    selected = _selection_bits(_draw_words(generator, (n,)), threshold)
+    return SelectionPath(n=n, k=int(_leaf_indices(selected)))
 
 
 def conditional_mean_of(path: SelectionPath) -> Fraction:
@@ -116,12 +156,65 @@ def conditional_mean_of(path: SelectionPath) -> Fraction:
     return Fraction(path.k, (1 << path.n) - 1)
 
 
-def _require_standardized(h0: ParentDistribution, h1: ParentDistribution) -> None:
+def _check_run(n: int, h0: ParentDistribution, h1: ParentDistribution) -> None:
+    if n > RAW_DRAW_CAP:
+        raise CapacityError(
+            f"depth {n} draws 2**{n} - 1 observations, above the raw draw cap {RAW_DRAW_CAP}"
+        )
     if not is_standardized(h0, h1):
         raise ContractError(
             f"parents must be standardized to means 0 and 1, got "
             f"({h0.mean}, {h1.mean}); run standardize_parents first"
         )
+
+
+def _block_sums(
+    selected: np.ndarray,
+    h0: ParentDistribution,
+    h1: ParentDistribution,
+    rng0: np.random.Generator,
+    rng1: np.random.Generator,
+) -> np.ndarray:
+    """Block sums for a (count, n) grid of selections.
+
+    Cell (r, j) sums 2**j observations of the parent its selection picks.
+    Each parent draws for its own cells, in (replication, block) order,
+    from its own generator (the two may be one generator).
+    """
+    sizes = np.broadcast_to(1 << np.arange(selected.shape[1], dtype=np.int64), selected.shape)
+    sums = np.empty(selected.shape)
+    for cells, parent, rng in ((~selected, h0, rng0), (selected, h1, rng1)):
+        sums[cells] = parent.block_sums(rng, sizes[cells])
+    return sums
+
+
+def _totals(sums: np.ndarray) -> np.ndarray:
+    # block by block, so a run's total does not depend on its chunk's size
+    totals = np.zeros(len(sums))
+    for column in sums.T:
+        totals += column
+    return totals
+
+
+def _sample_run(
+    path: SelectionPath,
+    h0: ParentDistribution,
+    h1: ParentDistribution,
+    generator: np.random.Generator,
+    seed: int | None,
+) -> SampleRun:
+    selected = np.array([path.bits[::-1]], dtype=bool)  # block order
+    sums = _block_sums(selected, h0, h1, generator, generator)
+    total = float(_totals(sums)[0])
+    return SampleRun(
+        seed=seed,
+        n=path.n,
+        path=path,
+        block_sums=tuple(sums[0].tolist()),
+        total=total,
+        mean=total / ((1 << path.n) - 1),
+        conditional_mean=conditional_mean_of(path),
+    )
 
 
 def run_from_path(
@@ -131,25 +224,9 @@ def run_from_path(
     rng: int | np.random.Generator,
 ) -> SampleRun:
     """Draw the block observations for a fixed selection path."""
-    _require_standardized(h0, h1)
+    _check_run(path.n, h0, h1)
     generator, seed = _as_generator(rng)
-    parents = (h0, h1)
-    sums = np.empty(path.n, dtype=np.float64)
-    bits = path.bits[::-1]  # block order: selection for block j is bit j-1
-    for j in range(1, path.n + 1):
-        block = parents[bits[j - 1]].draw(generator, 1 << (j - 1))
-        sums[j - 1] = block.sum()
-    total = float(np.sum(sums))
-    denominator = (1 << path.n) - 1
-    return SampleRun(
-        seed=seed,
-        n=path.n,
-        path=path,
-        block_sums=tuple(float(s) for s in sums),
-        total=total,
-        mean=total / denominator,
-        conditional_mean=conditional_mean_of(path),
-    )
+    return _sample_run(path, h0, h1, generator, seed)
 
 
 def run_exponential_sample(
@@ -162,28 +239,42 @@ def run_exponential_sample(
     """One full run: draw a path, then 2**(j-1) observations per block j.
 
     Parents must already be standardized (means exactly 0 and 1).  The
-    path is drawn first, then the blocks in order, so a fixed seed
-    reproduces the run bit for bit.
+    path is drawn first, then the block sums, so a fixed seed reproduces
+    the run bit for bit.
     """
-    if n > RAW_DRAW_CAP:
-        raise CapacityError(
-            f"depth {n} draws 2**{n} - 1 observations, above the raw draw cap {RAW_DRAW_CAP}"
-        )
-    _require_standardized(h0, h1)
+    _check_run(n, h0, h1)
     generator, seed = _as_generator(rng)
     path = draw_selection_path(n, p, generator)
-    run = run_from_path(path, h0, h1, generator)
-    if seed is None:
-        return run
-    return SampleRun(
-        seed=seed,
-        n=run.n,
-        path=run.path,
-        block_sums=run.block_sums,
-        total=run.total,
-        mean=run.mean,
-        conditional_mean=run.conditional_mean,
-    )
+    return _sample_run(path, h0, h1, generator, seed)
+
+
+def _chunks(
+    n: int,
+    p: Fraction | str | float,
+    replications: int,
+    seed: int,
+    key: tuple[int, ...],
+    parents: tuple[ParentDistribution, ParentDistribution] | None = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    """The ensemble chunk by chunk: a boolean (count, n) selection grid
+    (column j for block j + 1) and, given parents, its block sums."""
+    if replications < 1:
+        raise RangeError(f"replications must be positive, got {replications}")
+    threshold = _path_threshold(n, p)
+    for chunk, start in enumerate(range(0, replications, CHUNK)):
+        count = min(CHUNK, replications - start)
+        words = _draw_words(_stream(seed, key, chunk, _PATH_WORDS), (count, n))
+        selected = _selection_bits(words, threshold)
+        if parents is None:
+            yield selected, None
+            continue
+        sums = _block_sums(
+            selected,
+            *parents,
+            _stream(seed, key, chunk, _H0_SUMS),
+            _stream(seed, key, chunk, _H1_SUMS),
+        )
+        yield selected, sums
 
 
 def run_ensemble(
@@ -194,11 +285,23 @@ def run_ensemble(
     replications: int,
     seed: int,
 ) -> Iterator[SampleRun]:
-    """Yield independent runs, one derived generator per replication."""
-    if replications < 1:
-        raise RangeError(f"replications must be positive, got {replications}")
-    for i in range(replications):
-        yield run_exponential_sample(n, h0, h1, p, _replication_rng(seed, i))
+    """Yield independent runs in stream order; run i depends only on (seed, i)."""
+    _check_run(n, h0, h1)
+    denominator = (1 << n) - 1
+    for selected, sums in _chunks(n, p, replications, seed, (), (h0, h1)):
+        totals = _totals(sums)
+        rows = zip(_leaf_indices(selected).tolist(), sums.tolist(), totals.tolist())
+        for k, block_sums, total in rows:
+            path = SelectionPath(n=n, k=k)
+            yield SampleRun(
+                seed=None,
+                n=n,
+                path=path,
+                block_sums=tuple(block_sums),
+                total=total,
+                mean=total / denominator,
+                conditional_mean=conditional_mean_of(path),
+            )
 
 
 def simulate_mean_ensemble(
@@ -208,12 +311,18 @@ def simulate_mean_ensemble(
     p: Fraction | str | float,
     replications: int,
     seed: int,
+    *,
+    key: tuple[int, ...] = (),
 ) -> np.ndarray:
-    """Sample means of ``replications`` independent runs, in stream order."""
-    means = np.empty(replications, dtype=np.float64)
-    for i, run in enumerate(run_ensemble(n, h0, h1, p, replications, seed)):
-        means[i] = run.mean
-    return means
+    """Sample means of ``replications`` independent runs, in stream order.
+
+    ``key`` is prepended to each chunk's spawn key, so one seed can carry
+    several independent ensembles (``convergence_ks`` keys by depth).
+    """
+    _check_run(n, h0, h1)
+    denominator = (1 << n) - 1
+    chunks = _chunks(n, p, replications, seed, key, (h0, h1))
+    return np.concatenate([_totals(sums) / denominator for _, sums in chunks])
 
 
 def path_ensemble(
@@ -223,14 +332,12 @@ def path_ensemble(
 
     Draws paths only (no block observations), so depths up to the
     path-only cap are allowed; the conditional means are the indices
-    divided by 2**n - 1.
+    divided by 2**n - 1.  These are the paths of the ensembles with the
+    same seed.
     """
-    if replications < 1:
-        raise RangeError(f"replications must be positive, got {replications}")
-    ks = np.empty(replications, dtype=np.uint64)
-    for i in range(replications):
-        ks[i] = draw_selection_path(n, p, _replication_rng(seed, i)).k
-    return ks
+    return np.concatenate(
+        [_leaf_indices(selected) for selected, _ in _chunks(n, p, replications, seed, ())]
+    )
 
 
 def monte_carlo_moments(
@@ -303,6 +410,8 @@ def convergence_ks(
     point-mass parents the sample mean already has the exact law, so the
     gap sits at the Monte Carlo floor of order replications**-1/2 at
     every depth.  The resolution is bounded by the materialization cap.
+    Depth n's ensemble is keyed by (seed, n), so no two depths or seeds
+    share a stream.
     """
     p = as_exact_probability(p)
     if any(d < resolution for d in depths):
@@ -316,10 +425,8 @@ def convergence_ks(
     exact = np.array([float(value) for value in cdf_grid(limit, resolution)[1:-1]])
     grid = np.arange(1, grid_size) / grid_size
     out: list[tuple[int, float]] = []
-    for offset, n in enumerate(depths):
-        means = simulate_mean_ensemble(
-            n, h0, h1, p, replications, seed + offset
-        )
+    for n in depths:
+        means = simulate_mean_ensemble(n, h0, h1, p, replications, seed, key=(n,))
         empirical = np.searchsorted(np.sort(means), grid, side="left") / replications
         out.append((n, float(np.max(np.abs(empirical - exact)))))
     return out

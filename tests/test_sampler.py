@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from weaver import analysis, sampler
+from weaver import analysis, parents, sampler
 from weaver.errors import CapacityError, ContractError, DegeneracyError, RangeError
 from weaver.exact import DyadicPoint, SelectionPath, WeaverParams, cdf_at_dyadic, pmf_point
 from weaver.parents import (
@@ -21,6 +21,15 @@ from weaver.parents import (
 )
 
 STANDARD = (point_mass(0.0), point_mass(1.0))
+
+# every family, standardized, plus a pair of different families
+PAIRS = {
+    "point": STANDARD,
+    "bernoulli": standardize_parents(bernoulli(0.2), bernoulli(0.7)),
+    "uniform": standardize_parents(uniform_interval(0.0, 1.0), uniform_interval(1.0, 2.0)),
+    "gauss": standardize_parents(gaussian(0.0, 1.0), gaussian(1.0, 2.0)),
+    "mixed": standardize_parents(gaussian(-5.0, 2.0), uniform_interval(-1.0, 0.0)),
+}
 
 
 class TestParents:
@@ -184,6 +193,11 @@ class TestRuns:
         with pytest.raises(CapacityError):
             sampler.run_exponential_sample(31, *STANDARD, Fraction(1, 2), 0)
 
+    def test_raw_draw_cap_on_a_fixed_path(self):
+        path = SelectionPath(n=40, k=5)
+        with pytest.raises(CapacityError):
+            sampler.run_from_path(path, *STANDARD, np.random.default_rng(0))
+
     def test_ensemble_streams_are_independent_of_consumption(self):
         # replication i depends only on (seed, i), not on how many ran before
         full = [run.path.k for run in sampler.run_ensemble(6, *STANDARD, "1/2", 5, seed=21)]
@@ -287,12 +301,13 @@ class TestMonteCarlo:
         p, depths, resolution, reps, seed = Fraction(2, 3), (4, 6), 4, 300, 5
         distances = sampler.convergence_ks(p, h0, h1, depths, resolution, reps, seed)
         grid = np.arange(1, 16) / 16
-        for offset, (n, gap) in enumerate(distances):
+        for n, gap in distances:
             params = WeaverParams(n=n, p=p)
             exact = np.array(
                 [float(cdf_at_dyadic(DyadicPoint(k=k, n=resolution), params)) for k in range(1, 16)]
             )
-            means = np.sort(sampler.simulate_mean_ensemble(n, h0, h1, p, reps, seed + offset))
+            # depth n's ensemble is keyed by (seed, n)
+            means = np.sort(sampler.simulate_mean_ensemble(n, h0, h1, p, reps, seed, key=(n,)))
             empirical = np.searchsorted(means, grid, side="left") / reps
             assert gap == float(np.max(np.abs(empirical - exact)))
 
@@ -302,3 +317,161 @@ class TestMonteCarlo:
                 Fraction(1, 2), *STANDARD, depths=(2,), resolution=3,
                 replications=100, seed=0,
             )
+
+
+class TestChunkedStreams:
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    @pytest.mark.parametrize(
+        "short, long",
+        [(sampler.CHUNK - 3, sampler.CHUNK + 7), (sampler.CHUNK + 2, 2 * sampler.CHUNK + 1)],
+    )
+    def test_prefix_stability(self, pair, short, long):
+        # the first r replications do not depend on how many follow them
+        h0, h1 = PAIRS[pair]
+        a = sampler.simulate_mean_ensemble(5, h0, h1, "2/3", short, seed=4)
+        b = sampler.simulate_mean_ensemble(5, h0, h1, "2/3", long, seed=4)
+        assert np.array_equal(a, b[:short])
+        paths = sampler.path_ensemble(5, "2/3", long, seed=4)
+        assert np.array_equal(sampler.path_ensemble(5, "2/3", short, seed=4), paths[:short])
+
+    def test_prefix_stability_across_uniform_slabs(self, monkeypatch):
+        # cells that straddle a slab boundary sum their pieces the same way
+        monkeypatch.setattr(parents, "UNIFORM_SLAB", 10)
+        h0, h1 = PAIRS["uniform"]
+        a = sampler.simulate_mean_ensemble(6, h0, h1, "1/3", 40, seed=9)
+        b = sampler.simulate_mean_ensemble(6, h0, h1, "1/3", 57, seed=9)
+        assert np.array_equal(a, b[:40])
+
+    @pytest.mark.parametrize("slab", [1, 7, 64, 1 << 17])
+    def test_uniform_totals_against_one_draw(self, monkeypatch, slab):
+        # slab by slab equals one reduceat over the whole stream
+        monkeypatch.setattr(parents, "UNIFORM_SLAB", slab)
+        sizes = np.array([1, 2, 4, 8, 16, 3, 1, 32, 5], dtype=np.int64)
+        totals = parents._uniform_totals(np.random.default_rng(3), sizes)
+        values = np.random.default_rng(3).random(int(sizes.sum()))
+        expected = np.add.reduceat(values, np.cumsum(sizes) - sizes)
+        assert totals == pytest.approx(expected, rel=1e-14)
+        assert len(parents._uniform_totals(np.random.default_rng(3), sizes[:0])) == 0
+
+    def test_runs_match_the_mean_ensemble(self):
+        h0, h1 = PAIRS["mixed"]
+        reps = sampler.CHUNK + 5
+        runs = list(sampler.run_ensemble(4, h0, h1, "1/3", reps, seed=8))
+        means = sampler.simulate_mean_ensemble(4, h0, h1, "1/3", reps, seed=8)
+        ks = sampler.path_ensemble(4, "1/3", reps, seed=8)
+        assert np.array_equal([run.mean for run in runs], means)
+        assert [run.path.k for run in runs] == ks.tolist()
+        assert all(run.seed is None for run in runs)
+        assert all(run.total == sum(run.block_sums) for run in runs[:50])
+
+    def test_point_mass_means_sit_on_the_lattice(self):
+        n, reps = 7, 3000
+        means = sampler.simulate_mean_ensemble(n, *STANDARD, "3/5", reps, seed=12)
+        ks = sampler.path_ensemble(n, "3/5", reps, seed=12)
+        assert np.array_equal(means, ks / ((1 << n) - 1))
+        assert len(set(ks.tolist())) > 20
+
+    def test_ensembles_differ_by_seed(self):
+        a = sampler.path_ensemble(10, "1/2", 100, seed=1)
+        b = sampler.path_ensemble(10, "1/2", 100, seed=2)
+        assert not np.array_equal(a, b)
+
+    def test_convergence_keys_each_depth(self):
+        # depth n's samples depend on (seed, n), not on its place in depths
+        h0, h1 = PAIRS["gauss"]
+        p, reps = Fraction(2, 3), 300
+        both = sampler.convergence_ks(p, h0, h1, (4, 6), 3, reps, seed=1)
+        alone = sampler.convergence_ks(p, h0, h1, (6,), 3, reps, seed=1)
+        assert both[1] == alone[0]
+        # seed 1 at the second depth no longer reuses seed 2 at the first
+        means = sampler.simulate_mean_ensemble(6, h0, h1, p, reps, seed=1, key=(6,))
+        other = sampler.simulate_mean_ensemble(6, h0, h1, p, reps, seed=2, key=(6,))
+        assert not np.array_equal(means, other)
+
+    def test_ensemble_validation(self):
+        with pytest.raises(RangeError):
+            sampler.simulate_mean_ensemble(4, *STANDARD, "1/2", 0, seed=0)
+        with pytest.raises(RangeError):
+            sampler.path_ensemble(0, "1/2", 10, seed=0)
+        with pytest.raises(RangeError):
+            sampler.path_ensemble(4, "1", 10, seed=0)
+        with pytest.raises(CapacityError):
+            sampler.path_ensemble(64, "1/2", 10, seed=0)
+        with pytest.raises(CapacityError):
+            sampler.simulate_mean_ensemble(31, *STANDARD, "1/2", 10, seed=0)
+        with pytest.raises(ContractError):
+            sampler.simulate_mean_ensemble(4, point_mass(0.0), point_mass(2.0), "1/2", 10, seed=0)
+
+
+class TestSelectionCompare:
+    P_VALUES = ("1/2", "1/3", "2/3", "3/4", "1/1000", "999/1000", "5/7")
+
+    @staticmethod
+    def scalar(words, threshold):
+        return [((int(hi) << 64) | int(lo)) < threshold for hi, lo in words]
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_random_words(self, p):
+        threshold = sampler._selection_threshold(Fraction(p))
+        words = np.random.default_rng(threshold % 1000).integers(
+            0, 1 << 64, size=(2000, 2), dtype=np.uint64
+        )
+        assert sampler._selection_bits(words, threshold).tolist() == self.scalar(words, threshold)
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_ties_on_the_high_word(self, p):
+        threshold = sampler._selection_threshold(Fraction(p))
+        t_hi, t_lo = threshold >> 64, threshold & ((1 << 64) - 1)
+        mask = (1 << 64) - 1
+        his = {t_hi, (t_hi - 1) & mask, (t_hi + 1) & mask}
+        los = {0, mask, t_lo, (t_lo - 1) & mask, (t_lo + 1) & mask}
+        words = np.array([(hi, lo) for hi in sorted(his) for lo in sorted(los)], dtype=np.uint64)
+        assert sampler._selection_bits(words, threshold).tolist() == self.scalar(words, threshold)
+
+    def test_grid_shape(self):
+        words = np.random.default_rng(0).integers(0, 1 << 64, size=(3, 5, 2), dtype=np.uint64)
+        threshold = sampler._selection_threshold(Fraction(1, 3))
+        bits = sampler._selection_bits(words, threshold)
+        assert bits.shape == (3, 5)
+        assert bits.ravel().tolist() == self.scalar(words.reshape(-1, 2), threshold)
+
+
+class TestBlockSums:
+    SIZE, CELLS = 64, 20000
+
+    @pytest.mark.parametrize(
+        "parent",
+        [
+            bernoulli(0.3),
+            uniform_interval(-1.0, 3.0),
+            gaussian(5.0, 4.0),
+            PAIRS["gauss"][0],
+            PAIRS["bernoulli"][1],
+            PAIRS["uniform"][1],
+        ],
+        ids=["bernoulli", "uniform", "gauss", "gauss-std", "bernoulli-std", "uniform-std"],
+    )
+    def test_closed_form_moments(self, parent):
+        m, cells = self.SIZE, self.CELLS
+        sums = parent.block_sums(np.random.default_rng(21), np.full(cells, m, dtype=np.int64))
+        assert sums.shape == (cells,)
+        assert abs(np.mean(sums) - m * parent.mean) < 4 * math.sqrt(m * parent.variance / cells)
+        assert np.var(sums, ddof=1) == pytest.approx(m * parent.variance, rel=0.05)
+
+    def test_point_mass_is_exact(self):
+        sizes = np.array([1, 2, 4, 1024], dtype=np.int64)
+        rng = np.random.default_rng(0)
+        assert point_mass(2.5).block_sums(rng, sizes).tolist() == [2.5, 5.0, 10.0, 2560.0]
+        h0, h1 = STANDARD
+        assert h1.block_sums(rng, sizes).tolist() == [1.0, 2.0, 4.0, 1024.0]
+        assert h0.block_sums(rng, sizes).tolist() == [0.0] * 4
+
+    @pytest.mark.parametrize(
+        "parent", [uniform_interval(-1.0, 3.0), PAIRS["mixed"][1], gaussian(1.0, 2.0)]
+    )
+    def test_against_summed_draws(self, parent):
+        # two-sample KS of block sums against sums of individual draws
+        m, cells = 16, 4000
+        sums = parent.block_sums(np.random.default_rng(5), np.full(cells, m, dtype=np.int64))
+        drawn = parent.draw(np.random.default_rng(6), m * cells).reshape(cells, m).sum(axis=1)
+        assert scipy.stats.ks_2samp(sums, drawn).pvalue > 0.001

@@ -19,10 +19,11 @@ from weaver.exact import (
     MATERIALIZATION_CAP,
     WeaverParams,
     _check_cap,
-    _check_leaf_index,
-    as_exact_probability,
+    _check_probability,
+    _mass_numerators,
     geometric_triangle_row,
     pmf_point,
+    pmf_point_log2,
 )
 
 
@@ -66,11 +67,6 @@ class RoughnessReport:
     log2_right_product: float
 
 
-def exact_mean(params: WeaverParams) -> Fraction:
-    """Mean of the conditional sample mean: exactly p at every depth."""
-    return params.p
-
-
 def exact_variance(params: WeaverParams) -> Fraction:
     """Variance of the conditional sample mean, in closed form.
 
@@ -86,9 +82,9 @@ def exact_moment(
 ) -> Fraction:
     """j-th raw moment by exact enumeration over all 2**n leaves.
 
-    With p = a/d the mass at leaf k is a**e * (d-a)**(n-e) / d**n for
-    e = ones(k), and the support point is k / (2**n - 1); the sum runs
-    over integer numerators and is divided once at the end.
+    The mass at leaf k is the :func:`exact._mass_numerators` entry for
+    ones(k) over d**n (p = a/d), and the support point is k / (2**n - 1);
+    the sum runs over integer numerators and is divided once at the end.
 
     Strictly decreasing in j for fixed parameters, since every interior
     support point lies strictly inside (0, 1).
@@ -97,11 +93,10 @@ def exact_moment(
         raise RangeError(f"moment order must be positive, got {j}")
     _check_cap(params.n, cap, "moment enumeration")
     n = params.n
-    a, d = params.p.numerator, params.p.denominator
-    weights = [a**e * (d - a) ** (n - e) for e in range(n + 1)]
+    weights, denominator = _mass_numerators(params.p, n)
     row = geometric_triangle_row(n, cap)
     total = sum(weights[e] * k**j for k, e in enumerate(row))
-    return Fraction(total, d**n * ((1 << n) - 1) ** j)
+    return Fraction(total, denominator * ((1 << n) - 1) ** j)
 
 
 def variance_decomposition(n: int, p: Fraction | str | float) -> DecompositionRow:
@@ -114,8 +109,7 @@ def variance_decomposition(n: int, p: Fraction | str | float) -> DecompositionRo
     """
     if n < 1:
         raise RangeError(f"n must be positive, got {n}")
-    p = as_exact_probability(p)
-    WeaverParams(n=n, p=p)  # range-check p
+    _check_probability(p)
     denom = ((1 << n) - 1) ** 2
     weaving = ((1 << 2 * n) - 1) // 3
     merging = 2 * ((1 << 2 * n) - 3 * (1 << n) + 2) // 3
@@ -129,22 +123,9 @@ def variance_decomposition(n: int, p: Fraction | str | float) -> DecompositionRo
     )
 
 
-def merged_variable_stats(params: WeaverParams) -> tuple[Fraction, Fraction]:
-    """Mean and variance after merging every lattice point into {0, 1}.
-
-    Replacing each support point y with a Bernoulli(y) outcome leaves
-    the centre of gravity at p and restores the full Bernoulli variance
-    p*(1-p).
-    """
-    p = params.p
-    return p, p * (1 - p)
-
-
 def limit_variance(p: Fraction | str | float) -> Fraction:
     """Limit of the conditional-mean variance as the depth grows: p*(1-p)/3."""
-    p = as_exact_probability(p)
-    if not 0 < p < 1:
-        raise RangeError(f"p must lie strictly inside (0, 1), got {p}")
+    p = _check_probability(p)
     return p * (1 - p) / 3
 
 
@@ -160,14 +141,10 @@ def local_density(k: int, params: WeaverParams) -> float:
     2**64 cells the value is assembled in log space (relative tolerance
     1e-12).
     """
-    _check_leaf_index(k, params.n)
     n = params.n
     if n <= _DENSITY_EXACT_DEPTH:
         return float((1 << n) * pmf_point(k, params))
-    ones = k.bit_count()
-    p = float(params.p)
-    log2_density = n + ones * math.log2(p) + (n - ones) * math.log2(1.0 - p)
-    return 2.0 ** log2_density
+    return 2.0 ** (n + pmf_point_log2(k, params))
 
 
 def roughness_report(p: Fraction | str | float, level: int) -> RoughnessReport:
@@ -180,9 +157,7 @@ def roughness_report(p: Fraction | str | float, level: int) -> RoughnessReport:
     """
     if level < 0:
         raise RangeError(f"level must be non-negative, got {level}")
-    p = as_exact_probability(p)
-    if not 0 < p < 1:
-        raise RangeError(f"p must lie strictly inside (0, 1), got {p}")
+    p = _check_probability(p)
     bias_ratio = p / (1 - p)
     log2_f = math.log2(float(bias_ratio))
     try:
@@ -217,8 +192,7 @@ def pmodel_cell_masses(
     """
     if n < 1:
         raise RangeError(f"n must be positive, got {n}")
-    p = as_exact_probability(p)
-    WeaverParams(n=n, p=p)  # range-check p
+    p = _check_probability(p)
     _check_cap(n, cap, "cell mass vector")
     q = 1 - p
     masses = [Fraction(1)]

@@ -34,6 +34,11 @@ CAP_ENV_VAR = "WEAVER_MATERIALIZATION_CAP"
 
 COMMANDS = ("pmf", "cdf", "triangle", "moments", "decompose", "sample", "converge", "density")
 
+#: The renderers forget every memoized Fraction text once this many are
+#: kept: the values a table shares (the n+1 masses, adjacent cell edges)
+#: recur within a few rows, so a small memo keeps the sharing.
+_MEMO_LIMIT = 4096
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; the contract wants 1
@@ -45,16 +50,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_probability(text: str) -> Fraction:
     try:
-        value = exact.as_exact_probability(text)
+        return exact._check_probability(text)
+    except RangeError as err:  # a ValueError too, so it is caught first
+        raise argparse.ArgumentTypeError(str(err))
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"cannot parse {text!r} as a fraction 'a/b' or a decimal"
         )
-    try:
-        exact._check_probability(value)
-    except RangeError as err:
-        raise argparse.ArgumentTypeError(str(err))
-    return value
 
 
 _PARENT_FACTORIES = {
@@ -186,6 +188,8 @@ def _write_csv(rows: Sequence[dict[str, Any]], handle: TextIO) -> None:
     def render(value: Any) -> str:
         # a Fraction renders as an exact string plus a binary64 column
         if isinstance(value, Fraction):
+            if len(memo) >= _MEMO_LIMIT:
+                memo.clear()
             text = memo[id(value)] = f"{value!s},{float(value)!r}"
             return text
         return repr(value) if isinstance(value, float) else str(value)
@@ -214,6 +218,8 @@ def _write_json(rows: Sequence[dict[str, Any]], handle: TextIO) -> None:
 
     def render(value: Any) -> str:
         if isinstance(value, Fraction):
+            if len(memo) >= _MEMO_LIMIT:
+                memo.clear()
             text = memo[id(value)] = (
                 f'{{\n      "exact": {json.dumps(str(value))},'
                 f'\n      "approx": {json.dumps(float(value))}\n    }}'
@@ -241,9 +247,10 @@ def emit_table(rows: Sequence[dict[str, Any]], format: str, output: str) -> int:
 
     Every rational appears twice: as an exact fraction string and as a
     binary64 approximation (two CSV columns, or an {"exact", "approx"}
-    JSON object).  Each distinct value object is rendered once; the memo
-    is keyed by id(), which is safe because ``rows`` keeps every value
-    alive until the table is written.
+    JSON object).  A value object is rendered once while it stays in a
+    memo of at most ``_MEMO_LIMIT`` texts; the memo is keyed by id(),
+    which is safe because ``rows`` keeps every value alive until the
+    table is written.
     """
     if not rows:
         raise WeaverError("refusing to emit an empty table")
@@ -279,10 +286,8 @@ def _materialization_cap() -> int:
 def _pmf_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:
     params = WeaverParams(n=args.n, p=args.p)
     dist = exact.build_pmf_vector(params, cap=cap)
-    return [
-        {"k": k, "y": exact.realization_value(k, args.n), "p": mass}
-        for k, mass in enumerate(dist.pmf)
-    ]
+    denominator = (1 << args.n) - 1
+    return [{"k": k, "y": Fraction(k, denominator), "p": mass} for k, mass in enumerate(dist.pmf)]
 
 
 def _cdf_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:
@@ -301,7 +306,7 @@ def _triangle_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:
 def _moments_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:
     params = WeaverParams(n=args.n, p=args.p)
     rows = [
-        {"statistic": "mean", "value": analysis.exact_mean(params)},
+        {"statistic": "mean", "value": args.p},
         {"statistic": "variance", "value": analysis.exact_variance(params)},
         {"statistic": "limit_variance", "value": analysis.limit_variance(args.p)},
     ]
@@ -314,40 +319,15 @@ def _moments_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:
 
 def _decompose_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:
     del cap
-    rows = []
-    for n in range(1, args.n + 1):
-        split = analysis.variance_decomposition(n, args.p)
-        rows.append(
-            {
-                "n": split.n,
-                "denom": split.denom,
-                "weaving": split.weaving,
-                "merging": split.merging,
-                "weaving_share": split.weaving_share,
-                "merging_share": split.merging_share,
-            }
-        )
-    return rows
+    # the fields are in column order
+    return [vars(analysis.variance_decomposition(n, args.p)) for n in range(1, args.n + 1)]
 
 
 def _sample_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:
     del cap
     h0, h1 = standardize_parents(*args.parents)
     report = sampler.monte_carlo_moments(args.n, h0, h1, args.p, args.reps, args.seed)
-    return [
-        {
-            "n": args.n,
-            "p": args.p,
-            "seed": args.seed,
-            "replications": report.replications,
-            "empirical_mean": report.empirical_mean,
-            "empirical_variance": report.empirical_variance,
-            "exact_mean": report.exact_mean,
-            "exact_variance": report.exact_variance,
-            "standard_error": report.standard_error,
-            "z_score": report.z_score,
-        }
-    ]
+    return [{"n": args.n, "p": args.p, "seed": args.seed, **vars(report)}]
 
 
 def _converge_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:
@@ -362,10 +342,10 @@ def _converge_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:
 
 
 def _density_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:
-    params = WeaverParams(n=args.n, p=args.p)
     exact._check_cap(args.n, cap, "pmf vector")
+    numerators, denominator = exact._mass_numerators(args.p, args.n)
+    densities = [Fraction(w << args.n, denominator) for w in numerators]
     scale = 1 << args.n
-    densities = [scale * height for height, _ in exact.jump_spectrum(params)]
     edges = [Fraction(k, scale) for k in range(scale + 1)]
     return [
         {"k": k, "left": edges[k], "right": edges[k + 1], "density": densities[e]}

@@ -26,7 +26,7 @@ from weaver.errors import CapacityError, RangeError, RefinementError
 #: materialized.  Beyond the cap only pointwise / streaming queries are
 #: allowed; every closed form here is O(n) per point.  Peak memory of a
 #: full table doubles with each depth: at depth 19 the largest, `cdf
-#: --format json`, peaks near 470 MiB and `density`/`pmf` near 310 MiB.
+#: --format json`, peaks near 260 MiB and `density`/`pmf` near 210 MiB.
 MATERIALIZATION_CAP = 19
 
 
@@ -51,10 +51,13 @@ def as_exact_probability(value: Fraction | str | float | int) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact probability")
 
 
-def _check_probability(p: Fraction) -> None:
+def _check_probability(value: Fraction | str | float | int) -> Fraction:
+    """``value`` as an exact Fraction, which must lie strictly inside (0, 1)."""
+    p = as_exact_probability(value)
     # the endpoints collapse the cascade onto a single leaf
     if not 0 < p < 1:
         raise RangeError(f"p must lie strictly inside (0, 1), got {p}")
+    return p
 
 
 @dataclass(frozen=True)
@@ -73,13 +76,7 @@ class WeaverParams:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:
             raise RangeError(f"n must be a positive integer, got {self.n!r}")
-        p = as_exact_probability(self.p)
-        _check_probability(p)
-        object.__setattr__(self, "p", p)
-
-    @property
-    def leaf_count(self) -> int:
-        return 1 << self.n
+        object.__setattr__(self, "p", _check_probability(self.p))
 
 
 @dataclass(frozen=True)
@@ -117,10 +114,6 @@ class SelectionPath:
     @property
     def ones(self) -> int:
         return self.k.bit_count()
-
-    @property
-    def zeros(self) -> int:
-        return self.n - self.k.bit_count()
 
 
 @dataclass(frozen=True)
@@ -274,10 +267,9 @@ def cdf_grid(
     """Distribution function of W(n, p) at every point k / 2**m, m = resolution.
 
     The cdf is stable under refinement, so the grid is the running sum
-    of the depth-m masses.  With p = a/d and b = d - a, the depth-m mass
-    at leaf k is a**ones(k) * b**(m - ones(k)) / d**m: the grid is a
-    running sum of integer numerators read through the exponent row, in
-    O(2**m) integer adds.  Entry k equals :func:`cdf_at_dyadic` at
+    of the depth-m masses: a running sum of the integer numerators of
+    :func:`_mass_numerators` read through the exponent row, in O(2**m)
+    integer adds.  Entry k equals :func:`cdf_at_dyadic` at
     k / 2**m, which stays the O(n) point query.
     """
     _check_cap(resolution, cap, "cdf grid")
@@ -286,16 +278,26 @@ def cdf_grid(
             f"resolution {resolution} exceeds construction depth {params.n}; "
             "the value is not yet stable"
         )
-    a, d = params.p.numerator, params.p.denominator
-    b = d - a
-    numerators = [a**e * b ** (resolution - e) for e in range(resolution + 1)]
-    denominator = d**resolution
+    numerators, denominator = _mass_numerators(params.p, resolution)
     grid = [Fraction(0)]
     total = 0
     for numerator in map(numerators.__getitem__, geometric_triangle_row(resolution, cap)):
         total += numerator
         grid.append(Fraction(total, denominator))
     return grid
+
+
+def _mass_numerators(p: Fraction, m: int) -> tuple[list[int], int]:
+    """The depth-m masses over their common denominator.
+
+    With p = a/d, a leaf with e one-bits carries a**e * (d-a)**(m-e) / d**m;
+    returns those m+1 numerators, indexed by e, and d**m.  The 2**n
+    tables read their masses from here; :func:`pmf_point`,
+    :func:`cdf_at_dyadic` and ``analysis.pmodel_cell_masses`` do not, so
+    they stay independent oracles for them.
+    """
+    a, d = p.numerator, p.denominator
+    return [a**e * (d - a) ** (m - e) for e in range(m + 1)], d**m
 
 
 def jump_spectrum(params: WeaverParams) -> list[tuple[Fraction, int]]:
@@ -305,10 +307,8 @@ def jump_spectrum(params: WeaverParams) -> list[tuple[Fraction, int]]:
     j one-bits occurring at C(n, j) leaves; the multiplicity-weighted
     heights sum to 1.  For p = 1/2 every height equals 2**-n.
     """
-    n = params.n
-    p = params.p
-    q = 1 - p
-    return [(p**j * q ** (n - j), comb(n, j)) for j in range(n + 1)]
+    numerators, denominator = _mass_numerators(params.p, params.n)
+    return [(Fraction(w, denominator), comb(params.n, j)) for j, w in enumerate(numerators)]
 
 
 def mirror_index(k: int, n: int) -> int:

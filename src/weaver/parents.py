@@ -97,8 +97,6 @@ _FAMILIES = {
     ),
 }
 
-FAMILIES = tuple(_FAMILIES)
-
 
 @dataclass(frozen=True)
 class ParentDistribution:
@@ -115,8 +113,10 @@ class ParentDistribution:
     shift: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise RangeError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        if self.family not in _FAMILIES:
+            raise RangeError(
+                f"unknown family {self.family!r}; expected one of {tuple(_FAMILIES)}"
+            )
         if not all(math.isfinite(value) for value in self.params):
             raise RangeError(f"{self.family} parameters must be finite, got {self.params}")
 

@@ -15,7 +15,11 @@ sums of the first and second parent.  Each stream is read in
 (seed, i): a shorter ensemble is a prefix of a longer one, and chunks
 are independent of each other.  A caller that needs several ensembles
 from one seed extends the spawn key in front of c (``convergence_ks``
-keys each depth n as ``(n, c, purpose)``).
+keys each depth n as ``(n, c, purpose)``).  The single-run functions
+are replication 0 of the ensemble with their seed: ``draw_selection_path``
+reads chunk 0's path words, ``run_exponential_sample`` is the first run
+of ``run_ensemble``, and ``run_from_path`` reads chunk 0's block-sum
+streams for the path it is given.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 
 from weaver import analysis
 from weaver.errors import CapacityError, ContractError, RangeError
-from weaver.exact import SelectionPath, WeaverParams, as_exact_probability, cdf_grid
+from weaver.exact import SelectionPath, WeaverParams, _check_probability, cdf_grid
 from weaver.parents import ParentDistribution, is_standardized
 
 #: Layout of the ensemble streams described above; realized samples
@@ -57,13 +61,8 @@ _PATH_WORDS, _H0_SUMS, _H1_SUMS = 0, 1, 2
 
 @dataclass(frozen=True)
 class SampleRun:
-    """One realization: the path, the block sums, and the derived means.
+    """One realization: the path, the block sums, and the derived means."""
 
-    ``seed`` is recorded when the run was started from an integer seed
-    and is None when it came from a generator or an ensemble stream.
-    """
-
-    seed: int | None
     n: int
     path: SelectionPath
     block_sums: tuple[float, ...]
@@ -85,14 +84,9 @@ class MomentReport:
     z_score: float
 
 
-def _as_generator(rng: int | np.random.Generator) -> tuple[np.random.Generator, int | None]:
-    if isinstance(rng, np.random.Generator):
-        return rng, None
-    seed = int(rng)
-    return np.random.default_rng(seed), seed
-
-
 def _stream(seed: int, key: tuple[int, ...], chunk: int, purpose: int) -> np.random.Generator:
+    if seed < 0:
+        raise RangeError(f"seed must be non-negative, got {seed}")
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(*key, chunk, purpose))
     )
@@ -108,9 +102,7 @@ def _path_threshold(n: int, p: Fraction | str | float) -> int:
         raise RangeError(f"n must be positive, got {n}")
     if n > PATH_ONLY_CAP:
         raise CapacityError(f"path depth {n} above the path-only cap {PATH_ONLY_CAP}")
-    p = as_exact_probability(p)
-    WeaverParams(n=n, p=p)  # range-check p
-    return _selection_threshold(p)
+    return _selection_threshold(_check_probability(p))
 
 
 def _draw_words(generator: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -136,24 +128,14 @@ def _leaf_indices(selected: np.ndarray) -> np.ndarray:
     return (selected.astype(np.uint64) << shifts).sum(axis=-1, dtype=np.uint64)
 
 
-def draw_selection_path(
-    n: int, p: Fraction | str | float, rng: int | np.random.Generator
-) -> SelectionPath:
+def draw_selection_path(n: int, p: Fraction | str | float, seed: int) -> SelectionPath:
     """Draw n independent Bernoulli(p) selections, packed as a path.
 
-    Selections are drawn in block order (bit 0 first).  Each Bernoulli
-    compares a fresh 128-bit uniform integer against the exact threshold
-    floor(p * 2**128), so dyadic p is sampled without any bias.
+    The path is replication 0 of ``path_ensemble(n, p, 1, seed)``.  Each
+    Bernoulli compares a fresh 128-bit uniform integer against the exact
+    threshold floor(p * 2**128), so dyadic p is sampled without any bias.
     """
-    threshold = _path_threshold(n, p)
-    generator, _ = _as_generator(rng)
-    selected = _selection_bits(_draw_words(generator, (n,)), threshold)
-    return SelectionPath(n=n, k=int(_leaf_indices(selected)))
-
-
-def conditional_mean_of(path: SelectionPath) -> Fraction:
-    """The exact conditional mean determined by a path: k / (2**n - 1)."""
-    return Fraction(path.k, (1 << path.n) - 1)
+    return SelectionPath(n=n, k=int(path_ensemble(n, p, 1, seed)[0]))
 
 
 def _check_run(n: int, h0: ParentDistribution, h1: ParentDistribution) -> None:
@@ -172,19 +154,20 @@ def _block_sums(
     selected: np.ndarray,
     h0: ParentDistribution,
     h1: ParentDistribution,
-    rng0: np.random.Generator,
-    rng1: np.random.Generator,
+    seed: int,
+    key: tuple[int, ...],
+    chunk: int,
 ) -> np.ndarray:
-    """Block sums for a (count, n) grid of selections.
+    """Block sums for chunk ``chunk``'s (count, n) grid of selections.
 
     Cell (r, j) sums 2**j observations of the parent its selection picks.
     Each parent draws for its own cells, in (replication, block) order,
-    from its own generator (the two may be one generator).
+    from its own stream of the chunk.
     """
     sizes = np.broadcast_to(1 << np.arange(selected.shape[1], dtype=np.int64), selected.shape)
     sums = np.empty(selected.shape)
-    for cells, parent, rng in ((~selected, h0, rng0), (selected, h1, rng1)):
-        sums[cells] = parent.block_sums(rng, sizes[cells])
+    for cells, parent, purpose in ((~selected, h0, _H0_SUMS), (selected, h1, _H1_SUMS)):
+        sums[cells] = parent.block_sums(_stream(seed, key, chunk, purpose), sizes[cells])
     return sums
 
 
@@ -196,37 +179,35 @@ def _totals(sums: np.ndarray) -> np.ndarray:
     return totals
 
 
-def _sample_run(
-    path: SelectionPath,
-    h0: ParentDistribution,
-    h1: ParentDistribution,
-    generator: np.random.Generator,
-    seed: int | None,
-) -> SampleRun:
-    selected = np.array([path.bits[::-1]], dtype=bool)  # block order
-    sums = _block_sums(selected, h0, h1, generator, generator)
-    total = float(_totals(sums)[0])
-    return SampleRun(
-        seed=seed,
-        n=path.n,
-        path=path,
-        block_sums=tuple(sums[0].tolist()),
-        total=total,
-        mean=total / ((1 << path.n) - 1),
-        conditional_mean=conditional_mean_of(path),
-    )
+def _sample_runs(n: int, selected: np.ndarray, sums: np.ndarray) -> Iterator[SampleRun]:
+    # one run per row of a chunk's selection grid and block sums
+    denominator = (1 << n) - 1
+    totals = _totals(sums)
+    rows = zip(_leaf_indices(selected).tolist(), sums.tolist(), totals.tolist())
+    for k, block_sums, total in rows:
+        yield SampleRun(
+            n=n,
+            path=SelectionPath(n=n, k=k),
+            block_sums=tuple(block_sums),
+            total=total,
+            mean=total / denominator,
+            conditional_mean=Fraction(k, denominator),
+        )
 
 
 def run_from_path(
-    path: SelectionPath,
-    h0: ParentDistribution,
-    h1: ParentDistribution,
-    rng: int | np.random.Generator,
+    path: SelectionPath, h0: ParentDistribution, h1: ParentDistribution, seed: int
 ) -> SampleRun:
-    """Draw the block observations for a fixed selection path."""
+    """Draw the block observations for a fixed selection path.
+
+    The block sums come from chunk 0's block-sum streams of ``seed``, so
+    ``run_from_path(run.path, h0, h1, seed)`` reproduces the run that
+    ``run_exponential_sample`` draws with that seed.
+    """
     _check_run(path.n, h0, h1)
-    generator, seed = _as_generator(rng)
-    return _sample_run(path, h0, h1, generator, seed)
+    selected = np.array([path.bits[::-1]], dtype=bool)  # block order
+    sums = _block_sums(selected, h0, h1, seed, (), 0)
+    return next(_sample_runs(path.n, selected, sums))
 
 
 def run_exponential_sample(
@@ -234,18 +215,14 @@ def run_exponential_sample(
     h0: ParentDistribution,
     h1: ParentDistribution,
     p: Fraction | str | float,
-    rng: int | np.random.Generator,
+    seed: int,
 ) -> SampleRun:
     """One full run: draw a path, then 2**(j-1) observations per block j.
 
     Parents must already be standardized (means exactly 0 and 1).  The
-    path is drawn first, then the block sums, so a fixed seed reproduces
-    the run bit for bit.
+    run is replication 0 of ``run_ensemble(n, h0, h1, p, 1, seed)``.
     """
-    _check_run(n, h0, h1)
-    generator, seed = _as_generator(rng)
-    path = draw_selection_path(n, p, generator)
-    return _sample_run(path, h0, h1, generator, seed)
+    return next(run_ensemble(n, h0, h1, p, 1, seed))
 
 
 def _chunks(
@@ -268,13 +245,7 @@ def _chunks(
         if parents is None:
             yield selected, None
             continue
-        sums = _block_sums(
-            selected,
-            *parents,
-            _stream(seed, key, chunk, _H0_SUMS),
-            _stream(seed, key, chunk, _H1_SUMS),
-        )
-        yield selected, sums
+        yield selected, _block_sums(selected, *parents, seed, key, chunk)
 
 
 def run_ensemble(
@@ -287,21 +258,8 @@ def run_ensemble(
 ) -> Iterator[SampleRun]:
     """Yield independent runs in stream order; run i depends only on (seed, i)."""
     _check_run(n, h0, h1)
-    denominator = (1 << n) - 1
     for selected, sums in _chunks(n, p, replications, seed, (), (h0, h1)):
-        totals = _totals(sums)
-        rows = zip(_leaf_indices(selected).tolist(), sums.tolist(), totals.tolist())
-        for k, block_sums, total in rows:
-            path = SelectionPath(n=n, k=k)
-            yield SampleRun(
-                seed=None,
-                n=n,
-                path=path,
-                block_sums=tuple(block_sums),
-                total=total,
-                mean=total / denominator,
-                conditional_mean=conditional_mean_of(path),
-            )
+        yield from _sample_runs(n, selected, sums)
 
 
 def simulate_mean_ensemble(
@@ -362,7 +320,7 @@ def monte_carlo_moments(
         raise RangeError(
             f"at least 100 replications are needed for a moment report, got {replications}"
         )
-    p = as_exact_probability(p)
+    p = _check_probability(p)
     means = simulate_mean_ensemble(n, h0, h1, p, replications, seed)
     with np.errstate(over="ignore", invalid="ignore"):
         empirical_mean = float(np.mean(means))
@@ -409,19 +367,20 @@ def convergence_ks(
     shrinks as the within-population term (2**n - 1)**-1 fades; with
     point-mass parents the sample mean already has the exact law, so the
     gap sits at the Monte Carlo floor of order replications**-1/2 at
-    every depth.  The resolution is bounded by the materialization cap.
-    Depth n's ensemble is keyed by (seed, n), so no two depths or seeds
-    share a stream.
+    every depth.  The resolution is at least 1 and bounded by the
+    materialization cap.  Depth n's ensemble is keyed by (seed, n), so no
+    two depths or seeds share a stream.
     """
-    p = as_exact_probability(p)
+    p = _check_probability(p)
+    if resolution < 1:
+        raise RangeError(f"grid resolution must be positive, got {resolution}")
     if any(d < resolution for d in depths):
         raise RangeError(
             f"every depth must be at least the grid resolution {resolution}"
         )
     grid_size = 1 << resolution
     # stable under refinement: the grid is the same at every depth >= resolution
-    # (W(n, p) needs n >= 1, hence the floor for resolution 0)
-    limit = WeaverParams(n=max(resolution, 1), p=p)
+    limit = WeaverParams(n=resolution, p=p)
     exact = np.array([float(value) for value in cdf_grid(limit, resolution)[1:-1]])
     grid = np.arange(1, grid_size) / grid_size
     out: list[tuple[int, float]] = []

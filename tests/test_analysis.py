@@ -28,7 +28,7 @@ class TestMoments:
     @given(n=depths, p=probabilities)
     def test_mean_is_p_at_every_depth(self, n, p):
         params = WeaverParams(n=n, p=p)
-        assert analysis.exact_mean(params) == p
+        assert analysis.exact_moment(params, 1) == p
         assert enumerated_moment(n, p, 1) == p
 
     @given(n=depths, p=probabilities)
@@ -128,7 +128,10 @@ class TestDecomposition:
 class TestMergedAndLimit:
     @given(n=depths, p=probabilities)
     def test_merged_variable_is_bernoulli(self, n, p):
-        mean, variance = analysis.merged_variable_stats(WeaverParams(n=n, p=p))
+        # merging y into a Bernoulli(y) outcome adds E[Y(1-Y)] to var(Y)
+        params = WeaverParams(n=n, p=p)
+        mean = analysis.exact_moment(params, 1)
+        variance = analysis.exact_variance(params) + mean - analysis.exact_moment(params, 2)
         assert mean == p
         assert variance == p * (1 - p)
 

@@ -4,7 +4,10 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from typing import Any
 from unittest import mock
 
@@ -114,6 +117,15 @@ class TestRendering:
         ]
         assert cli.emit_table(rows, format, "-") == 0
         assert capsys.readouterr().out == ORACLES[format](rows)
+
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    def test_memo_bound_crossed(self, capsys, monkeypatch, format):
+        # the memo is cleared many times over; shared masses render again
+        monkeypatch.setattr(cli, "_MEMO_LIMIT", 5)
+        for argv in (("pmf", "--n", "5", "--p", "2/3"), ("density", "--n", "4", "--p", "7/10")):
+            code, out, _ = run_cli(capsys, *argv, "--format", format)
+            assert code == 0
+            assert out == self.expected(argv, format)
 
 
 class TestPmfCommand:
@@ -459,3 +471,35 @@ class TestArgvFuzz:
             os.remove(fuzz_output)
         assert "NaN" not in text
         assert "Infinity" not in text
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class TestTracedChild:
+    """bench/traced_child.py wraps public names of the package; a renamed or
+    removed one breaks the traced benchmark, so it is run here on small input."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("pmf", "--n", "4", "--p", "2/3"),
+            ("sample", "--n", "4", "--p", "1/3", "--reps", "200"),
+        ],
+        ids=" ".join,
+    )
+    def test_stdout_unchanged_and_layers_traced(self, tmp_path, argv):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        trace = tmp_path / "trace.json"
+        traced = subprocess.run(
+            [sys.executable, str(ROOT / "bench" / "traced_child.py"), str(trace), *argv],
+            capture_output=True, env=env, timeout=120,
+        )
+        plain = subprocess.run(
+            [sys.executable, "-m", "weaver", *argv], capture_output=True, env=env, timeout=120
+        )
+        assert traced.returncode == 0, traced.stderr.decode()
+        assert plain.returncode == 0
+        assert traced.stdout == plain.stdout
+        layers = json.loads(trace.read_text())["layers"]
+        assert layers["cli.emit_table"]["calls"] == 1

@@ -135,7 +135,7 @@ class TestSelectionSampling:
 
     def test_conditional_mean(self):
         path = SelectionPath(n=6, k=44)
-        assert sampler.conditional_mean_of(path) == Fraction(44, 63)
+        assert sampler.run_from_path(path, *STANDARD, 0).conditional_mean == Fraction(44, 63)
 
     def test_bit_marginals(self):
         # each selection is Bernoulli(p) marginally
@@ -173,17 +173,21 @@ class TestRuns:
     def test_block_order_is_chronological(self):
         # bit j-1 of the leaf index drives block j of size 2**(j-1)
         path = SelectionPath(n=4, k=0b0101)
-        run = sampler.run_from_path(path, *STANDARD, np.random.default_rng(0))
+        run = sampler.run_from_path(path, *STANDARD, 0)
         assert run.block_sums == (1.0, 0.0, 4.0, 0.0)
 
-    def test_seed_recorded_only_for_integer_seeds(self):
-        by_seed = sampler.run_exponential_sample(4, *STANDARD, Fraction(1, 2), 11)
-        assert by_seed.seed == 11
-        by_generator = sampler.run_exponential_sample(
-            4, *STANDARD, Fraction(1, 2), np.random.default_rng(11)
-        )
-        assert by_generator.seed is None
-        assert by_generator.path == by_seed.path
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_single_runs_are_replication_zero(self, pair, seed):
+        # one stream contract: a single run is the first run of its ensemble
+        h0, h1 = PAIRS[pair]
+        n, p = 6, Fraction(2, 5)
+        run = sampler.run_exponential_sample(n, h0, h1, p, seed)
+        assert run == next(sampler.run_ensemble(n, h0, h1, p, 1, seed))
+        assert run == next(sampler.run_ensemble(n, h0, h1, p, 3, seed))
+        assert sampler.draw_selection_path(n, p, seed).k == sampler.path_ensemble(n, p, 1, seed)[0]
+        assert sampler.draw_selection_path(n, p, seed) == run.path
+        assert sampler.run_from_path(run.path, h0, h1, seed) == run
 
     def test_unstandardized_parents_rejected(self):
         with pytest.raises(ContractError):
@@ -196,7 +200,7 @@ class TestRuns:
     def test_raw_draw_cap_on_a_fixed_path(self):
         path = SelectionPath(n=40, k=5)
         with pytest.raises(CapacityError):
-            sampler.run_from_path(path, *STANDARD, np.random.default_rng(0))
+            sampler.run_from_path(path, *STANDARD, 0)
 
     def test_ensemble_streams_are_independent_of_consumption(self):
         # replication i depends only on (seed, i), not on how many ran before
@@ -318,6 +322,14 @@ class TestMonteCarlo:
                 replications=100, seed=0,
             )
 
+    @pytest.mark.parametrize("resolution", [0, -1])
+    def test_convergence_resolution_must_be_positive(self, resolution):
+        with pytest.raises(RangeError, match="resolution must be positive"):
+            sampler.convergence_ks(
+                Fraction(1, 2), *STANDARD, depths=(2,), resolution=resolution,
+                replications=100, seed=0,
+            )
+
 
 class TestChunkedStreams:
     @pytest.mark.parametrize("pair", sorted(PAIRS))
@@ -361,7 +373,6 @@ class TestChunkedStreams:
         ks = sampler.path_ensemble(4, "1/3", reps, seed=8)
         assert np.array_equal([run.mean for run in runs], means)
         assert [run.path.k for run in runs] == ks.tolist()
-        assert all(run.seed is None for run in runs)
         assert all(run.total == sum(run.block_sums) for run in runs[:50])
 
     def test_point_mass_means_sit_on_the_lattice(self):
@@ -401,6 +412,24 @@ class TestChunkedStreams:
             sampler.simulate_mean_ensemble(31, *STANDARD, "1/2", 10, seed=0)
         with pytest.raises(ContractError):
             sampler.simulate_mean_ensemble(4, point_mass(0.0), point_mass(2.0), "1/2", 10, seed=0)
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda seed: sampler.path_ensemble(4, "1/2", 10, seed),
+            lambda seed: sampler.simulate_mean_ensemble(4, *STANDARD, "1/2", 10, seed),
+            lambda seed: list(sampler.run_ensemble(4, *STANDARD, "1/2", 10, seed)),
+            lambda seed: sampler.convergence_ks("1/2", *STANDARD, (4,), 2, 10, seed),
+            lambda seed: sampler.draw_selection_path(4, "1/2", seed),
+            lambda seed: sampler.run_exponential_sample(4, *STANDARD, "1/2", seed),
+            lambda seed: sampler.run_from_path(SelectionPath(n=4, k=5), *STANDARD, seed),
+        ],
+        ids=["paths", "means", "runs", "convergence", "path", "run", "run-from-path"],
+    )
+    def test_negative_seed_rejected(self, draw):
+        with pytest.raises(RangeError, match="seed must be non-negative, got -1"):
+            draw(-1)
+        draw(0)
 
 
 class TestSelectionCompare:

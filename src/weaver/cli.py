@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import gcd
 from typing import Any, Sequence, TextIO
 
 from weaver import analysis, exact, sampler
@@ -34,12 +35,6 @@ CAP_ENV_VAR = "WEAVER_MATERIALIZATION_CAP"
 
 COMMANDS = ("pmf", "cdf", "triangle", "moments", "decompose", "sample", "converge", "density")
 
-#: The renderers forget every memoized Fraction text once this many are
-#: kept: the values a table shares (the n+1 masses, adjacent cell edges)
-#: recur within a few rows, so a small memo keeps the sharing.
-_MEMO_LIMIT = 4096
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; the contract wants 1
     def error(self, message: str) -> None:  # type: ignore[override]
@@ -51,12 +46,8 @@ class _Parser(argparse.ArgumentParser):
 def _parse_probability(text: str) -> Fraction:
     try:
         return exact._check_probability(text)
-    except RangeError as err:  # a ValueError too, so it is caught first
+    except RangeError as err:
         raise argparse.ArgumentTypeError(str(err))
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(
-            f"cannot parse {text!r} as a fraction 'a/b' or a decimal"
-        )
 
 
 _PARENT_FACTORIES = {
@@ -181,50 +172,47 @@ def parse_config(argv: list[str]) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
-def _write_csv(rows: Sequence[dict[str, Any]], handle: TextIO) -> None:
-    memo: dict[int, str] = {}
-    lookup = memo.get
+def _rational(num: int, den: int) -> tuple[str, str]:
+    """Both texts of the rational cell num/den (den > 0): the exact one in
+    lowest terms (``num`` alone over 1) and the binary64 repr, as str() and
+    float() of a Fraction give them; int true division rounds as
+    Fraction.__float__ does.
+    """
+    divisor = gcd(num, den)
+    num, den = num // divisor, den // divisor
+    return (str(num) if den == 1 else f"{num}/{den}"), repr(num / den)
 
+
+def _write_csv(rows: Sequence[dict[str, Any]], handle: TextIO) -> None:
     def render(value: Any) -> str:
-        # a Fraction renders as an exact string plus a binary64 column
         if isinstance(value, Fraction):
-            if len(memo) >= _MEMO_LIMIT:
-                memo.clear()
-            text = memo[id(value)] = f"{value!s},{float(value)!r}"
-            return text
+            value = _rational(value.numerator, value.denominator)
+        if type(value) is tuple:
+            return ",".join(value)
         return repr(value) if isinstance(value, float) else str(value)
 
     header: list[str] = []
     for key, value in rows[0].items():
-        header.extend([f"{key}_exact", f"{key}_approx"] if isinstance(value, Fraction) else [key])
+        rational = isinstance(value, (tuple, Fraction))
+        header.extend([f"{key}_exact", f"{key}_approx"] if rational else [key])
     write = handle.write
     write(",".join(header) + "\n")
     for row in rows:
-        write(
-            ",".join(
-                [str(v) if type(v) is int else lookup(id(v)) or render(v) for v in row.values()]
-            )
-            + "\n"
-        )
+        write(",".join([str(v) if type(v) is int else render(v) for v in row.values()]) + "\n")
 
 
 def _write_json(rows: Sequence[dict[str, Any]], handle: TextIO) -> None:
     # laid out by hand exactly as json.dumps(rows, indent=2) would, with
-    # each Fraction as an {"exact", "approx"} object; json encodes an
-    # exact int through int.__repr__, so str() spells it the same
-    memo: dict[int, str] = {}
-    lookup = memo.get
+    # each rational as an {"exact", "approx"} object; json encodes an
+    # exact int through int.__repr__ and a finite float through
+    # float.__repr__, and an exact text (digits, '-', '/') needs no escape
     prefixes: dict[str, str] = {}
 
     def render(value: Any) -> str:
         if isinstance(value, Fraction):
-            if len(memo) >= _MEMO_LIMIT:
-                memo.clear()
-            text = memo[id(value)] = (
-                f'{{\n      "exact": {json.dumps(str(value))},'
-                f'\n      "approx": {json.dumps(float(value))}\n    }}'
-            )
-            return text
+            value = _rational(value.numerator, value.denominator)
+        if type(value) is tuple:
+            return f'{{\n      "exact": "{value[0]}",\n      "approx": {value[1]}\n    }}'
         return json.dumps(value)
 
     write = handle.write
@@ -233,7 +221,7 @@ def _write_json(rows: Sequence[dict[str, Any]], handle: TextIO) -> None:
         body = ",\n".join(
             [
                 (prefixes.get(k) or prefixes.setdefault(k, f"    {json.dumps(k)}: "))
-                + (str(v) if type(v) is int else lookup(id(v)) or render(v))
+                + (str(v) if type(v) is int else render(v))
                 for k, v in row.items()
             ]
         )
@@ -247,10 +235,11 @@ def emit_table(rows: Sequence[dict[str, Any]], format: str, output: str) -> int:
 
     Every rational appears twice: as an exact fraction string and as a
     binary64 approximation (two CSV columns, or an {"exact", "approx"}
-    JSON object).  A value object is rendered once while it stays in a
-    memo of at most ``_MEMO_LIMIT`` texts; the memo is keyed by id(),
-    which is safe because ``rows`` keeps every value alive until the
-    table is written.
+    JSON object).  A rational cell is either the pair of texts that
+    :func:`_rational` returns, which the 2**n tables build once per
+    distinct value from integers, or a Fraction, which is passed through
+    :func:`_rational` as it is written.  Other ints, floats and strings
+    are written as scalars.
     """
     if not rows:
         raise WeaverError("refusing to emit an empty table")
@@ -284,18 +273,25 @@ def _materialization_cap() -> int:
 
 
 def _pmf_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:
-    params = WeaverParams(n=args.n, p=args.p)
-    dist = exact.build_pmf_vector(params, cap=cap)
-    denominator = (1 << args.n) - 1
-    return [{"k": k, "y": Fraction(k, denominator), "p": mass} for k, mass in enumerate(dist.pmf)]
+    exact._check_cap(args.n, cap, "pmf vector")
+    numerators, denominator = exact._mass_numerators(args.p, args.n)
+    heights = [_rational(w, denominator) for w in numerators]
+    support = (1 << args.n) - 1
+    return [
+        {"k": k, "y": _rational(k, support), "p": heights[e]}
+        for k, e in enumerate(exact.geometric_triangle_row(args.n, cap))
+    ]
 
 
 def _cdf_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:
     params = WeaverParams(n=args.n, p=args.p)
     resolution = args.resolution if args.resolution is not None else args.n
-    grid = exact.cdf_grid(params, resolution, cap)
+    sums, denominator = exact.cdf_grid(params, resolution, cap)
     scale = 1 << resolution
-    return [{"k": k, "v": Fraction(k, scale), "F": value} for k, value in enumerate(grid)]
+    return [
+        {"k": k, "v": _rational(k, scale), "F": _rational(total, denominator)}
+        for k, total in enumerate(sums)
+    ]
 
 
 def _triangle_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:
@@ -344,9 +340,9 @@ def _converge_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:
 def _density_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:
     exact._check_cap(args.n, cap, "pmf vector")
     numerators, denominator = exact._mass_numerators(args.p, args.n)
-    densities = [Fraction(w << args.n, denominator) for w in numerators]
+    densities = [_rational(w << args.n, denominator) for w in numerators]
     scale = 1 << args.n
-    edges = [Fraction(k, scale) for k in range(scale + 1)]
+    edges = [_rational(k, scale) for k in range(scale + 1)]
     return [
         {"k": k, "left": edges[k], "right": edges[k + 1], "density": densities[e]}
         for k, e in enumerate(exact.geometric_triangle_row(args.n, cap))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 
 from weaver.errors import CapacityError, RangeError, RefinementError
@@ -26,7 +27,7 @@ from weaver.errors import CapacityError, RangeError, RefinementError
 #: materialized.  Beyond the cap only pointwise / streaming queries are
 #: allowed; every closed form here is O(n) per point.  Peak memory of a
 #: full table doubles with each depth: at depth 19 the largest, `cdf
-#: --format json`, peaks near 260 MiB and `density`/`pmf` near 210 MiB.
+#: --format json`, peaks near 385 MiB and `density`/`pmf` near 260 MiB.
 MATERIALIZATION_CAP = 19
 
 
@@ -52,8 +53,11 @@ def as_exact_probability(value: Fraction | str | float | int) -> Fraction:
 
 
 def _check_probability(value: Fraction | str | float | int) -> Fraction:
-    """``value`` as an exact Fraction, which must lie strictly inside (0, 1)."""
-    p = as_exact_probability(value)
+    """``value`` as an exact Fraction strictly inside (0, 1), else a RangeError."""
+    try:
+        p = as_exact_probability(value)
+    except (ValueError, ZeroDivisionError):  # "abc", "1/0", nan, inf
+        raise RangeError(f"cannot parse {str(value)!r} as a fraction 'a/b' or a decimal")
     # the endpoints collapse the cascade onto a single leaf
     if not 0 < p < 1:
         raise RangeError(f"p must lie strictly inside (0, 1), got {p}")
@@ -263,14 +267,15 @@ def cdf_at_dyadic(point: DyadicPoint, params: WeaverParams) -> Fraction:
 
 def cdf_grid(
     params: WeaverParams, resolution: int, cap: int = MATERIALIZATION_CAP
-) -> list[Fraction]:
+) -> tuple[list[int], int]:
     """Distribution function of W(n, p) at every point k / 2**m, m = resolution.
 
-    The cdf is stable under refinement, so the grid is the running sum
-    of the depth-m masses: a running sum of the integer numerators of
-    :func:`_mass_numerators` read through the exponent row, in O(2**m)
-    integer adds.  Entry k equals :func:`cdf_at_dyadic` at
-    k / 2**m, which stays the O(n) point query.
+    Returns the 2**m + 1 values as integer numerators over their common
+    denominator d**m (p = a/d), like :func:`_mass_numerators`.  The cdf
+    is stable under refinement, so the grid is the running sum of the
+    depth-m mass numerators read through the exponent row, in O(2**m)
+    integer adds.  Entry k over the denominator equals
+    :func:`cdf_at_dyadic` at k / 2**m, which stays the O(n) point query.
     """
     _check_cap(resolution, cap, "cdf grid")
     if resolution > params.n:
@@ -279,12 +284,8 @@ def cdf_grid(
             "the value is not yet stable"
         )
     numerators, denominator = _mass_numerators(params.p, resolution)
-    grid = [Fraction(0)]
-    total = 0
-    for numerator in map(numerators.__getitem__, geometric_triangle_row(resolution, cap)):
-        total += numerator
-        grid.append(Fraction(total, denominator))
-    return grid
+    row = geometric_triangle_row(resolution, cap)
+    return list(accumulate(map(numerators.__getitem__, row), initial=0)), denominator
 
 
 def _mass_numerators(p: Fraction, m: int) -> tuple[list[int], int]:

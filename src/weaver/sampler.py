@@ -381,7 +381,9 @@ def convergence_ks(
     grid_size = 1 << resolution
     # stable under refinement: the grid is the same at every depth >= resolution
     limit = WeaverParams(n=resolution, p=p)
-    exact = np.array([float(value) for value in cdf_grid(limit, resolution)[1:-1]])
+    sums, denominator = cdf_grid(limit, resolution)
+    # int true division rounds exactly as float(Fraction) does
+    exact = np.array([total / denominator for total in sums[1:-1]])
     grid = np.arange(1, grid_size) / grid_size
     out: list[tuple[int, float]] = []
     for n in depths:

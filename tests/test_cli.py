@@ -1,6 +1,7 @@
 """Command-line behaviour: tables, formats, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -12,7 +13,7 @@ from typing import Any
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from weaver import analysis, cli, exact
@@ -81,12 +82,20 @@ class TestRendering:
         ("sample", "--n", "4", "--p", "1/3", "--reps", "100", "--parents", "gauss:-5,2;uniform:-1,0"),
         ("converge", "--n", "3", "--p", "1/4"),
         ("density", "--n", "3", "--p", "7/10"),
+        ("pmf", "--n", "5", "--p", "2/3"),
+        ("density", "--n", "4", "--p", "7/10"),
     ]
 
     @staticmethod
     def expected(argv, format):
         args = cli.parse_config(list(argv))
         rows = cli._ROW_BUILDERS[args.command](args, exact.MATERIALIZATION_CAP)
+        # a rational cell built from integers holds its (exact, approx)
+        # texts; the oracle renders the Fraction of the exact text, so the
+        # approx text is checked against it too
+        rows = [
+            {k: Fraction(v[0]) if type(v) is tuple else v for k, v in row.items()} for row in rows
+        ]
         return ORACLES[format](rows)
 
     @pytest.mark.parametrize("format", ["csv", "json"])
@@ -118,14 +127,28 @@ class TestRendering:
         assert cli.emit_table(rows, format, "-") == 0
         assert capsys.readouterr().out == ORACLES[format](rows)
 
-    @pytest.mark.parametrize("format", ["csv", "json"])
-    def test_memo_bound_crossed(self, capsys, monkeypatch, format):
-        # the memo is cleared many times over; shared masses render again
-        monkeypatch.setattr(cli, "_MEMO_LIMIT", 5)
-        for argv in (("pmf", "--n", "5", "--p", "2/3"), ("density", "--n", "4", "--p", "7/10")):
-            code, out, _ = run_cli(capsys, *argv, "--format", format)
-            assert code == 0
-            assert out == self.expected(argv, format)
+
+class TestRationalCell:
+    """Both texts of a rational cell against str() and float() of its Fraction."""
+
+    pairs = st.one_of(
+        st.tuples(st.integers(-(10**12), 10**12), st.integers(1, 10**12)),
+        # quotients below 2**-1022 are subnormal binary64 values (or round to 0)
+        st.tuples(st.integers(-(2**70), 2**70), st.integers(2**1060, 2**1140)),
+    )
+
+    @given(pair=pairs, common=st.integers(1, 10**6))
+    @example(pair=(0, 1), common=1)
+    @example(pair=(0, 9), common=4)
+    @example(pair=(-12, 1), common=1)
+    @example(pair=(5, 1), common=6)
+    @example(pair=(1, 2**1074), common=1)
+    @example(pair=(-1, 2**1075), common=3)
+    @example(pair=(3**300 + 1, 2**1500), common=7)
+    def test_matches_fraction(self, pair, common):
+        num, den = pair[0] * common, pair[1] * common  # unreduced when common > 1
+        value = Fraction(num, den)
+        assert cli._rational(num, den) == (str(value), repr(float(value)))
 
 
 class TestPmfCommand:
@@ -267,6 +290,15 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(list(argv))
         assert excinfo.value.code == 1
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "abc", "1/0"])
+    def test_unparsable_probability_message(self, capsys, text):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["pmf", "--n", "3", "--p", text])
+        assert excinfo.value.code == 1
+        err = capsys.readouterr().err
+        assert f"argument --p: cannot parse '{text}' as a fraction 'a/b' or a decimal\n" in err
+        assert "Traceback" not in err
 
     def test_probability_range_message_shared_with_params(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -503,3 +535,16 @@ class TestTracedChild:
         assert traced.stdout == plain.stdout
         layers = json.loads(trace.read_text())["layers"]
         assert layers["cli.emit_table"]["calls"] == 1
+
+
+class TestReferenceDigests:
+    """The tables whose SHA-256 digests the benchmark checks, byte for byte."""
+
+    DIGESTS = json.loads((ROOT / "bench" / "reference_digests.json").read_text())
+
+    @pytest.mark.parametrize("command", list(DIGESTS))
+    def test_table_matches_reference_digest(self, capsys, tmp_path, command):
+        target = tmp_path / "table"
+        code, out, _ = run_cli(capsys, *command.split(), "--output", str(target))
+        assert (code, out) == (0, "")
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == self.DIGESTS[command]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weaver import exact
+from weaver import analysis, exact
 from weaver.errors import CapacityError, RangeError, RefinementError
 from weaver.exact import (
     DyadicPoint,
@@ -75,6 +75,19 @@ class TestParams:
 
     def test_p_coerced_from_string(self):
         assert WeaverParams(n=2, p="2/3").p == Fraction(2, 3)
+
+    @pytest.mark.parametrize(
+        "bad_p, text",
+        [(float("nan"), "nan"), (float("inf"), "inf"), ("abc", "abc"), ("1/0", "1/0")],
+    )
+    def test_unparsable_p_is_a_range_error(self, bad_p, text):
+        # not the bare ValueError / ZeroDivisionError of fractions
+        message = f"cannot parse '{text}' as a fraction 'a/b' or a decimal"
+        with pytest.raises(RangeError) as params_error:
+            WeaverParams(n=3, p=bad_p)
+        with pytest.raises(RangeError) as variance_error:
+            analysis.limit_variance(bad_p)
+        assert str(params_error.value) == str(variance_error.value) == message
 
 
 class TestSelectionPath:
@@ -310,7 +323,8 @@ class TestCdfGrid:
     @pytest.mark.parametrize("n, m", [(1, 1), (6, 6), (9, 9), (9, 4), (12, 0), (12, 7)])
     def test_matches_point_queries(self, p, n, m):
         params = WeaverParams(n=n, p=p)
-        assert cdf_grid(params, m) == [
+        sums, den = cdf_grid(params, m)
+        assert [Fraction(s, den) for s in sums] == [
             cdf_at_dyadic(DyadicPoint(k=k, n=m), params) for k in range((1 << m) + 1)
         ]
 
@@ -318,7 +332,8 @@ class TestCdfGrid:
     def test_matches_point_queries_for_any_p(self, p, n, data):
         m = data.draw(st.integers(min_value=0, max_value=n), label="resolution")
         params = WeaverParams(n=n, p=p)
-        grid = cdf_grid(params, m)
+        sums, den = cdf_grid(params, m)
+        grid = [Fraction(s, den) for s in sums]
         assert len(grid) == (1 << m) + 1
         assert grid == [cdf_at_dyadic(DyadicPoint(k=k, n=m), params) for k in range(len(grid))]
 

@@ -6,6 +6,8 @@ rational arithmetic, simulate the two-population sampling scheme that
 realizes it, and expose the closed-form moment and variance structure.
 """
 
+from importlib import import_module
+
 from weaver.analysis import (
     DecompositionRow,
     RoughnessReport,
@@ -42,29 +44,49 @@ from weaver.exact import (
     pmf_point_log2,
     realization_value,
 )
-from weaver.parents import (
-    ParentDistribution,
-    bernoulli,
-    gaussian,
-    is_standardized,
-    point_mass,
-    standardize_parents,
-    uniform_interval,
-)
-from weaver.sampler import (
-    PATH_ONLY_CAP,
-    RAW_DRAW_CAP,
-    MomentReport,
-    SampleRun,
-    convergence_ks,
-    draw_selection_path,
-    monte_carlo_moments,
-    path_ensemble,
-    run_ensemble,
-    run_exponential_sample,
-    run_from_path,
-    simulate_mean_ensemble,
-)
+
+# The sampler side needs numpy; the exact side does not.  Its names are
+# resolved on first access (PEP 562), so the exact commands never load it.
+_LAZY_MODULES = {
+    "weaver.parents": (
+        "ParentDistribution",
+        "bernoulli",
+        "gaussian",
+        "is_standardized",
+        "point_mass",
+        "standardize_parents",
+        "uniform_interval",
+    ),
+    "weaver.sampler": (
+        "PATH_ONLY_CAP",
+        "RAW_DRAW_CAP",
+        "MomentReport",
+        "SampleRun",
+        "convergence_ks",
+        "draw_selection_path",
+        "monte_carlo_moments",
+        "path_ensemble",
+        "run_ensemble",
+        "run_exponential_sample",
+        "run_from_path",
+        "simulate_mean_ensemble",
+    ),
+}
+_LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
+
+
+def __getattr__(name: str) -> object:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(module), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __version__ = "0.1.0"
 

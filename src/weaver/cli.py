@@ -17,25 +17,23 @@ import os
 import sys
 from fractions import Fraction
 from math import gcd
-from typing import Any, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
-from weaver import analysis, exact, sampler
+# the sampler side (weaver.parents, weaver.sampler) loads numpy, so only
+# a `sample` run imports it, after parsing
+from weaver import analysis, exact
 from weaver.errors import RangeError, WeaverError
 from weaver.exact import WeaverParams
-from weaver.parents import (
-    ParentDistribution,
-    bernoulli,
-    gaussian,
-    point_mass,
-    standardize_parents,
-    uniform_interval,
-)
 
 CAP_ENV_VAR = "WEAVER_MATERIALIZATION_CAP"
 
 COMMANDS = ("pmf", "cdf", "triangle", "moments", "decompose", "sample", "converge", "density")
 
 class _Parser(argparse.ArgumentParser):
+    #: set on the top-level parser: the `sample` subparser, which reports a
+    #: parent spec that its family rejects (see parse_config)
+    sample: argparse.ArgumentParser
+
     # argparse exits with status 2 on bad flags; the contract wants 1
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
@@ -50,19 +48,24 @@ def _parse_probability(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(err))
 
 
+# family name in a parent spec: (factory in weaver.parents, parameter count)
 _PARENT_FACTORIES = {
-    "point": (point_mass, 1),
-    "pointmass": (point_mass, 1),
-    "point-mass": (point_mass, 1),
-    "bernoulli": (bernoulli, 1),
-    "uniform": (uniform_interval, 2),
-    "uniform-interval": (uniform_interval, 2),
-    "gauss": (gaussian, 2),
-    "gaussian": (gaussian, 2),
+    "point": ("point_mass", 1),
+    "pointmass": ("point_mass", 1),
+    "point-mass": ("point_mass", 1),
+    "bernoulli": ("bernoulli", 1),
+    "uniform": ("uniform_interval", 2),
+    "uniform-interval": ("uniform_interval", 2),
+    "gauss": ("gaussian", 2),
+    "gaussian": ("gaussian", 2),
 }
 
+_ParentSpec = tuple[str, list[float]]
 
-def _parse_parent(spec: str) -> ParentDistribution:
+
+def _parse_parent(spec: str) -> _ParentSpec:
+    """The factory name and parameters of one parent spec, syntax checked;
+    the factory's own checks run in parse_config."""
     name, _, arg_text = spec.partition(":")
     key = name.strip().lower()
     if key not in _PARENT_FACTORIES:
@@ -79,13 +82,10 @@ def _parse_parent(spec: str) -> ParentDistribution:
         raise argparse.ArgumentTypeError(
             f"parent family {name!r} takes {arity} parameter(s), got {len(args)}"
         )
-    try:
-        return factory(*args)
-    except WeaverError as err:
-        raise argparse.ArgumentTypeError(str(err))
+    return factory, args
 
 
-def _parse_parent_pair(text: str) -> tuple[ParentDistribution, ParentDistribution]:
+def _parse_parent_pair(text: str) -> tuple[_ParentSpec, _ParentSpec]:
     specs = text.split(";")
     if len(specs) != 2:
         raise argparse.ArgumentTypeError(
@@ -108,7 +108,7 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
     parser = _Parser(prog="weaver", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -150,11 +150,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--parents",
         type=_parse_parent_pair,
-        default=(point_mass(0.0), point_mass(1.0)),
+        default="point:0;point:1",
         help="pair of populations, e.g. 'gauss:0,1;gauss:1,1'",
     )
     sub.add_argument("--reps", type=_positive_int, default=10000)
     sub.add_argument("--seed", type=_non_negative_int, default=0)
+    parser.sample = sub
 
     sub = add("converge", "variance ratio against its limit 1/3 for depths 1..n")
     sub.add_argument("--n", type=_positive_int, default=40)
@@ -168,8 +169,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_config(argv: list[str]) -> argparse.Namespace:
-    """Parse and validate argv; usage errors exit with 1."""
-    return build_parser().parse_args(argv)
+    """Parse and validate argv; usage errors exit with 1.
+
+    A `sample` run's two parents are built here, after parsing, so that
+    no other command imports weaver.parents; a spec its family rejects
+    is a usage error of `sample --parents`, as a bad spec's syntax is.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "sample":
+        from weaver import parents
+
+        try:
+            args.parents = tuple(
+                getattr(parents, factory)(*params) for factory, params in args.parents
+            )
+        except WeaverError as err:
+            parser.sample.error(f"argument --parents: {err}")
+    return args
 
 
 def _rational(num: int, den: int) -> tuple[str, str]:
@@ -183,7 +200,22 @@ def _rational(num: int, den: int) -> tuple[str, str]:
     return (str(num) if den == 1 else f"{num}/{den}"), repr(num / den)
 
 
-def _write_csv(rows: Sequence[dict[str, Any]], handle: TextIO) -> None:
+class _Rows:
+    """A table built row by row as it is written: ``len()`` is its row
+    count, and every ``iter()`` builds fresh rows from ``build()``."""
+
+    def __init__(self, count: int, build: Callable[[], Iterator[dict[str, Any]]]) -> None:
+        self._count = count
+        self._build = build
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[dict[str, Any]]:
+        return self._build()
+
+
+def _write_csv(rows: Iterable[dict[str, Any]], handle: TextIO) -> None:
     def render(value: Any) -> str:
         if isinstance(value, Fraction):
             value = _rational(value.numerator, value.denominator)
@@ -192,7 +224,7 @@ def _write_csv(rows: Sequence[dict[str, Any]], handle: TextIO) -> None:
         return repr(value) if isinstance(value, float) else str(value)
 
     header: list[str] = []
-    for key, value in rows[0].items():
+    for key, value in next(iter(rows)).items():
         rational = isinstance(value, (tuple, Fraction))
         header.extend([f"{key}_exact", f"{key}_approx"] if rational else [key])
     write = handle.write
@@ -201,7 +233,7 @@ def _write_csv(rows: Sequence[dict[str, Any]], handle: TextIO) -> None:
         write(",".join([str(v) if type(v) is int else render(v) for v in row.values()]) + "\n")
 
 
-def _write_json(rows: Sequence[dict[str, Any]], handle: TextIO) -> None:
+def _write_json(rows: Iterable[dict[str, Any]], handle: TextIO) -> None:
     # laid out by hand exactly as json.dumps(rows, indent=2) would, with
     # each rational as an {"exact", "approx"} object; json encodes an
     # exact int through int.__repr__ and a finite float through
@@ -230,8 +262,12 @@ def _write_json(rows: Sequence[dict[str, Any]], handle: TextIO) -> None:
     write("\n]\n")
 
 
-def emit_table(rows: Sequence[dict[str, Any]], format: str, output: str) -> int:
+def emit_table(rows: _Rows | Sequence[dict[str, Any]], format: str, output: str) -> int:
     """Write rows as CSV or JSON to a path or stdout, one row at a time.
+
+    ``rows`` is sized and iterable twice: the header is read from the
+    first row, then every row is written.  The 2**n tables pass a
+    :class:`_Rows`, so no more than one of their rows is held at once.
 
     Every rational appears twice: as an exact fraction string and as a
     binary64 approximation (two CSV columns, or an {"exact", "approx"}
@@ -272,31 +308,31 @@ def _materialization_cap() -> int:
     return cap
 
 
-def _pmf_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:
+def _pmf_rows(args: argparse.Namespace, cap: int) -> _Rows:
     exact._check_cap(args.n, cap, "pmf vector")
     numerators, denominator = exact._mass_numerators(args.p, args.n)
     heights = [_rational(w, denominator) for w in numerators]
     support = (1 << args.n) - 1
-    return [
-        {"k": k, "y": _rational(k, support), "p": heights[e]}
-        for k, e in enumerate(exact.geometric_triangle_row(args.n, cap))
-    ]
+    exponents = exact.geometric_triangle_row(args.n, cap)
+    return _Rows(len(exponents), lambda: (
+        {"k": k, "y": _rational(k, support), "p": heights[e]} for k, e in enumerate(exponents)
+    ))
 
 
-def _cdf_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:
+def _cdf_rows(args: argparse.Namespace, cap: int) -> _Rows:
     params = WeaverParams(n=args.n, p=args.p)
     resolution = args.resolution if args.resolution is not None else args.n
     sums, denominator = exact.cdf_grid(params, resolution, cap)
     scale = 1 << resolution
-    return [
+    return _Rows(len(sums), lambda: (
         {"k": k, "v": _rational(k, scale), "F": _rational(total, denominator)}
         for k, total in enumerate(sums)
-    ]
+    ))
 
 
-def _triangle_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:
+def _triangle_rows(args: argparse.Namespace, cap: int) -> _Rows:
     row = exact.geometric_triangle_row(args.n, cap=cap)
-    return [{"k": k, "exponent": e} for k, e in enumerate(row)]
+    return _Rows(len(row), lambda: ({"k": k, "exponent": e} for k, e in enumerate(row)))
 
 
 def _moments_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:
@@ -321,7 +357,9 @@ def _decompose_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:
 
 def _sample_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:
     del cap
-    h0, h1 = standardize_parents(*args.parents)
+    from weaver import parents, sampler
+
+    h0, h1 = parents.standardize_parents(*args.parents)
     report = sampler.monte_carlo_moments(args.n, h0, h1, args.p, args.reps, args.seed)
     return [{"n": args.n, "p": args.p, "seed": args.seed, **vars(report)}]
 
@@ -337,16 +375,21 @@ def _converge_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:
     return rows
 
 
-def _density_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:
+def _density_rows(args: argparse.Namespace, cap: int) -> _Rows:
     exact._check_cap(args.n, cap, "pmf vector")
     numerators, denominator = exact._mass_numerators(args.p, args.n)
     densities = [_rational(w << args.n, denominator) for w in numerators]
     scale = 1 << args.n
-    edges = [_rational(k, scale) for k in range(scale + 1)]
-    return [
-        {"k": k, "left": edges[k], "right": edges[k + 1], "density": densities[e]}
-        for k, e in enumerate(exact.geometric_triangle_row(args.n, cap))
-    ]
+    exponents = exact.geometric_triangle_row(args.n, cap)
+
+    def rows() -> Iterator[dict[str, Any]]:
+        right = _rational(0, scale)
+        for k, e in enumerate(exponents):
+            # each edge is rendered once: cell k's right is cell k+1's left
+            left, right = right, _rational(k + 1, scale)
+            yield {"k": k, "left": left, "right": right, "density": densities[e]}
+
+    return _Rows(len(exponents), rows)
 
 
 _ROW_BUILDERS = {

@@ -25,9 +25,10 @@ from weaver.errors import CapacityError, RangeError, RefinementError
 
 #: Largest depth for which full vectors of 2**n rationals may be
 #: materialized.  Beyond the cap only pointwise / streaming queries are
-#: allowed; every closed form here is O(n) per point.  Peak memory of a
-#: full table doubles with each depth: at depth 19 the largest, `cdf
-#: --format json`, peaks near 385 MiB and `density`/`pmf` near 260 MiB.
+#: allowed; every closed form here is O(n) per point.  The CLI streams
+#: its tables row by row; what still doubles with each depth is the
+#: exponent row and the cdf grid's integer sums: at depth 19 `cdf
+#: --format json` peaks near 45 MiB and `density`/`pmf` near 24 MiB.
 MATERIALIZATION_CAP = 19
 
 

@@ -128,6 +128,28 @@ class TestRendering:
         assert capsys.readouterr().out == ORACLES[format](rows)
 
 
+class TestRowView:
+    """The 2**n tables are sized views whose rows are built afresh on every pass."""
+
+    @pytest.mark.parametrize(
+        "argv, count",
+        [
+            (("pmf", "--n", "4", "--p", "2/3"), 16),
+            (("cdf", "--n", "5", "--p", "1/3", "--resolution", "3"), 9),
+            (("triangle", "--n", "3"), 8),
+            (("density", "--n", "3", "--p", "7/10"), 8),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, tuple) else str(value),
+    )
+    def test_sized_and_reiterable(self, argv, count):
+        args = cli.parse_config(list(argv))
+        rows = cli._ROW_BUILDERS[args.command](args, exact.MATERIALIZATION_CAP)
+        first = list(rows)
+        assert len(rows) == len(first) == count
+        assert list(rows) == first
+        assert first[0] is not next(iter(rows))  # a fresh row, not a stored one
+
+
 class TestRationalCell:
     """Both texts of a rational cell against str() and float() of its Fraction."""
 
@@ -262,6 +284,12 @@ class TestSampleCommand:
         _, second, _ = run_cli(capsys, *args)
         assert first == second
 
+    def test_default_parents_are_point_masses_at_0_and_1(self, capsys):
+        args = ("sample", "--n", "5", "--p", "2/3", "--reps", "300", "--seed", "9")
+        _, default, _ = run_cli(capsys, *args)
+        _, explicit, _ = run_cli(capsys, *args, "--parents", "point:0;point:1")
+        assert default == explicit
+
     def test_degenerate_parents_exit_2(self, capsys):
         code, _, err = run_cli(
             capsys, "sample", "--n", "4", "--p", "1/2",
@@ -299,6 +327,33 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert f"argument --p: cannot parse '{text}' as a fraction 'a/b' or a decimal\n" in err
         assert "Traceback" not in err
+
+    # the whole stderr of a parent spec that its family's factory rejects,
+    # pinned as the CLI printed it when the factory ran inside argparse
+    _USAGE = (
+        "usage: weaver sample [-h] [--format {csv,json}] [--output OUTPUT] --n N --p P\n"
+        "                     [--parents PARENTS] [--reps REPS] [--seed SEED]\n"
+    )
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("gauss:0,-1;gauss:1,1", "variance must be non-negative, got -1.0"),
+            ("uniform:1,0;point:1", "uniform interval needs a < b, got (1.0, 0.0)"),
+            ("bernoulli:2;point:0", "bernoulli parameter must lie in [0, 1], got 2.0"),
+            ("gauss:0,nan;gauss:1,1", "gaussian parameters must be finite, got (0.0, nan)"),
+        ],
+    )
+    def test_rejected_parent_stderr(self, capsys, monkeypatch, spec, message):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the usage to it
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["sample", "--n", "4", "--p", "1/2", "--parents", spec])
+        assert excinfo.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"{self._USAGE}weaver sample: error: argument --parents: {message}\n"
+        )
 
     def test_probability_range_message_shared_with_params(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -512,6 +567,8 @@ class TestTracedChild:
     """bench/traced_child.py wraps public names of the package; a renamed or
     removed one breaks the traced benchmark, so it is run here on small input."""
 
+    ROWS = {"pmf": 16, "sample": 1}  # rows each table below writes
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -533,8 +590,9 @@ class TestTracedChild:
         assert traced.returncode == 0, traced.stderr.decode()
         assert plain.returncode == 0
         assert traced.stdout == plain.stdout
-        layers = json.loads(trace.read_text())["layers"]
-        assert layers["cli.emit_table"]["calls"] == 1
+        summary = json.loads(trace.read_text())
+        assert summary["layers"]["cli.emit_table"]["calls"] == 1
+        assert summary["counts"]["cli.rows"] == self.ROWS[argv[0]]
 
 
 class TestReferenceDigests:

@@ -1,0 +1,97 @@
+"""The package namespace: the sampler side, and numpy with it, loads on demand."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import weaver
+from weaver import exact
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# run in a fresh interpreter: prints whether numpy was loaded after the body
+_PROBE = """
+import sys
+{body}
+print("numpy" in sys.modules)
+"""
+
+_RUN_CLI = """
+from weaver import cli
+try:
+    code = cli.main({argv!r})
+except SystemExit as exit:  # --help
+    code = exit.code
+assert code == 0, code
+"""
+
+
+def _numpy_loaded(body: str) -> bool:
+    result = subprocess.run(
+        [sys.executable, "-c", _PROBE.format(body=body)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1] == "True"
+
+
+class TestNoNumpy:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pmf", "--n", "4", "--p", "2/3"],
+            ["cdf", "--n", "4", "--p", "1/3", "--format", "json"],
+            ["triangle", "--n", "3"],
+            ["moments", "--n", "4", "--p", "3/7"],
+            ["decompose", "--n", "4"],
+            ["converge", "--n", "4", "--p", "1/4"],
+            ["density", "--n", "3", "--p", "7/10"],
+            ["sample", "--help"],
+        ],
+        ids=" ".join,
+    )
+    def test_exact_commands_never_import_numpy(self, argv):
+        assert not _numpy_loaded(_RUN_CLI.format(argv=argv))
+
+    def test_package_import(self):
+        assert not _numpy_loaded("import weaver")
+
+    def test_sample_imports_numpy_and_runs(self):
+        argv = ["sample", "--n", "4", "--p", "1/3", "--reps", "200", "--seed", "5"]
+        assert _numpy_loaded(_RUN_CLI.format(argv=argv))
+
+
+class TestLazyNamespace:
+    def test_every_public_name_resolves_to_its_definition(self):
+        sampler = importlib.import_module("weaver.sampler")
+        constants = {"MATERIALIZATION_CAP": exact, "PATH_ONLY_CAP": sampler, "RAW_DRAW_CAP": sampler}
+        listing = dir(weaver)
+        for name in weaver.__all__:
+            assert name in listing
+            value = getattr(weaver, name)
+            owner = constants.get(name) or sys.modules[value.__module__]
+            assert owner.__name__.startswith("weaver.")
+            assert value is vars(owner)[name]
+
+    def test_star_import_binds_every_name(self):
+        namespace: dict = {}
+        exec("from weaver import *", namespace)
+        assert len(weaver.__all__) == 49
+        assert sorted(k for k in namespace if k != "__builtins__") == sorted(weaver.__all__)
+        for name in weaver.__all__:
+            assert namespace[name] is getattr(weaver, name)
+
+    def test_unknown_attribute(self):
+        with pytest.raises(AttributeError, match="'no_such_name'"):
+            weaver.no_such_name
+
+    def test_submodules_import_from_the_package(self):
+        from weaver import parents, sampler
+
+        assert parents is sys.modules["weaver.parents"]
+        assert sampler is sys.modules["weaver.sampler"]

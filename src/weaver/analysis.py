@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from weaver.errors import RangeError
 from weaver.exact import (
-    MATERIALIZATION_CAP,
     WeaverParams,
     _check_cap,
     _check_probability,
@@ -77,9 +76,7 @@ def exact_variance(params: WeaverParams) -> Fraction:
     return Fraction((1 << 2 * n) - 1, 3 * ((1 << n) - 1) ** 2) * p * (1 - p)
 
 
-def exact_moment(
-    params: WeaverParams, j: int, cap: int = MATERIALIZATION_CAP
-) -> Fraction:
+def exact_moment(params: WeaverParams, j: int) -> Fraction:
     """j-th raw moment by exact enumeration over all 2**n leaves.
 
     The mass at leaf k is the :func:`exact._mass_numerators` entry for
@@ -91,10 +88,10 @@ def exact_moment(
     """
     if j < 1:
         raise RangeError(f"moment order must be positive, got {j}")
-    _check_cap(params.n, cap, "moment enumeration")
+    _check_cap(params.n, "moment enumeration")
     n = params.n
     weights, denominator = _mass_numerators(params.p, n)
-    row = geometric_triangle_row(n, cap)
+    row = geometric_triangle_row(n)
     total = sum(weights[e] * k**j for k, e in enumerate(row))
     return Fraction(total, denominator * ((1 << n) - 1) ** j)
 
@@ -179,9 +176,7 @@ def roughness_report(p: Fraction | str | float, level: int) -> RoughnessReport:
     )
 
 
-def pmodel_cell_masses(
-    n: int, p: Fraction | str | float, cap: int = MATERIALIZATION_CAP
-) -> list[Fraction]:
+def pmodel_cell_masses(n: int, p: Fraction | str | float) -> list[Fraction]:
     """Cell masses of the continuous halving cascade after n rounds.
 
     Starts from unit mass on (0, 1) and repeatedly splits every cell in
@@ -193,7 +188,7 @@ def pmodel_cell_masses(
     if n < 1:
         raise RangeError(f"n must be positive, got {n}")
     p = _check_probability(p)
-    _check_cap(n, cap, "cell mass vector")
+    _check_cap(n, "cell mass vector")
     q = 1 - p
     masses = [Fraction(1)]
     for _ in range(n):

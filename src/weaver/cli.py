@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from math import gcd
@@ -25,9 +24,6 @@ from weaver import analysis, exact
 from weaver.errors import RangeError, WeaverError
 from weaver.exact import WeaverParams
 
-CAP_ENV_VAR = "WEAVER_MATERIALIZATION_CAP"
-
-COMMANDS = ("pmf", "cdf", "triangle", "moments", "decompose", "sample", "converge", "density")
 
 class _Parser(argparse.ArgumentParser):
     #: set on the top-level parser: the `sample` subparser, which reports a
@@ -288,54 +284,38 @@ def emit_table(rows: _Rows | Sequence[dict[str, Any]], format: str, output: str)
     return 0
 
 
-def _materialization_cap() -> int:
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return exact.MATERIALIZATION_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise WeaverError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}")
-    if not 0 <= cap <= exact.MATERIALIZATION_CAP:
-        raise WeaverError(
-            f"{CAP_ENV_VAR} must lie in [0, {exact.MATERIALIZATION_CAP}], got {cap}"
-        )
-    print(
-        f"warning: materialization cap overridden to {cap} via {CAP_ENV_VAR} "
-        f"(default {exact.MATERIALIZATION_CAP})",
-        file=sys.stderr,
-    )
-    return cap
-
-
-def _pmf_rows(args: argparse.Namespace, cap: int) -> _Rows:
-    exact._check_cap(args.n, cap, "pmf vector")
+def _pmf_rows(args: argparse.Namespace) -> _Rows:
+    exact._check_cap(args.n, "pmf vector")
     numerators, denominator = exact._mass_numerators(args.p, args.n)
     heights = [_rational(w, denominator) for w in numerators]
     support = (1 << args.n) - 1
-    exponents = exact.geometric_triangle_row(args.n, cap)
+    exponents = exact.geometric_triangle_row(args.n)
     return _Rows(len(exponents), lambda: (
         {"k": k, "y": _rational(k, support), "p": heights[e]} for k, e in enumerate(exponents)
     ))
 
 
-def _cdf_rows(args: argparse.Namespace, cap: int) -> _Rows:
+def _cdf_rows(args: argparse.Namespace) -> _Rows:
     params = WeaverParams(n=args.n, p=args.p)
     resolution = args.resolution if args.resolution is not None else args.n
-    sums, denominator = exact.cdf_grid(params, resolution, cap)
+    # the grid's checks run now, so a refused table writes nothing
+    exact.cdf_grid(params, resolution)
     scale = 1 << resolution
-    return _Rows(len(sums), lambda: (
-        {"k": k, "v": _rational(k, scale), "F": _rational(total, denominator)}
-        for k, total in enumerate(sums)
-    ))
+
+    def rows() -> Iterator[dict[str, Any]]:
+        sums, denominator = exact.cdf_grid(params, resolution)
+        for k, total in enumerate(sums):
+            yield {"k": k, "v": _rational(k, scale), "F": _rational(total, denominator)}
+
+    return _Rows(scale + 1, rows)
 
 
-def _triangle_rows(args: argparse.Namespace, cap: int) -> _Rows:
-    row = exact.geometric_triangle_row(args.n, cap=cap)
+def _triangle_rows(args: argparse.Namespace) -> _Rows:
+    row = exact.geometric_triangle_row(args.n)
     return _Rows(len(row), lambda: ({"k": k, "exponent": e} for k, e in enumerate(row)))
 
 
-def _moments_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:
+def _moments_rows(args: argparse.Namespace) -> list[dict[str, Any]]:
     params = WeaverParams(n=args.n, p=args.p)
     rows = [
         {"statistic": "mean", "value": args.p},
@@ -343,20 +323,16 @@ def _moments_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:
         {"statistic": "limit_variance", "value": analysis.limit_variance(args.p)},
     ]
     for j in range(1, args.max_order + 1):
-        rows.append(
-            {"statistic": f"moment_{j}", "value": analysis.exact_moment(params, j, cap=cap)}
-        )
+        rows.append({"statistic": f"moment_{j}", "value": analysis.exact_moment(params, j)})
     return rows
 
 
-def _decompose_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:
-    del cap
+def _decompose_rows(args: argparse.Namespace) -> list[dict[str, Any]]:
     # the fields are in column order
     return [vars(analysis.variance_decomposition(n, args.p)) for n in range(1, args.n + 1)]
 
 
-def _sample_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:
-    del cap
+def _sample_rows(args: argparse.Namespace) -> list[dict[str, Any]]:
     from weaver import parents, sampler
 
     h0, h1 = parents.standardize_parents(*args.parents)
@@ -364,8 +340,7 @@ def _sample_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:
     return [{"n": args.n, "p": args.p, "seed": args.seed, **vars(report)}]
 
 
-def _converge_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:
-    del cap
+def _converge_rows(args: argparse.Namespace) -> list[dict[str, Any]]:
     p = args.p
     bernoulli_variance = p * (1 - p)
     rows = []
@@ -375,12 +350,12 @@ def _converge_rows(args: argparse.Namespace, cap: int) -> list[dict[str, Any]]:
     return rows
 
 
-def _density_rows(args: argparse.Namespace, cap: int) -> _Rows:
-    exact._check_cap(args.n, cap, "pmf vector")
+def _density_rows(args: argparse.Namespace) -> _Rows:
+    exact._check_cap(args.n, "pmf vector")
     numerators, denominator = exact._mass_numerators(args.p, args.n)
     densities = [_rational(w << args.n, denominator) for w in numerators]
     scale = 1 << args.n
-    exponents = exact.geometric_triangle_row(args.n, cap)
+    exponents = exact.geometric_triangle_row(args.n)
 
     def rows() -> Iterator[dict[str, Any]]:
         right = _rational(0, scale)
@@ -407,8 +382,7 @@ _ROW_BUILDERS = {
 def main(argv: list[str] | None = None) -> int:
     args = parse_config(sys.argv[1:] if argv is None else argv)
     try:
-        cap = _materialization_cap()
-        rows = _ROW_BUILDERS[args.command](args, cap)
+        rows = _ROW_BUILDERS[args.command](args)
         return emit_table(rows, args.format, args.output)
     except WeaverError as err:
         print(f"weaver: error: {err}", file=sys.stderr)

@@ -20,15 +20,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
+from typing import Iterator
 
 from weaver.errors import CapacityError, RangeError, RefinementError
 
 #: Largest depth for which full vectors of 2**n rationals may be
-#: materialized.  Beyond the cap only pointwise / streaming queries are
+#: materialized, the one bound of every 2**n table; there is no
+#: override.  Beyond the cap only pointwise / streaming queries are
 #: allowed; every closed form here is O(n) per point.  The CLI streams
 #: its tables row by row; what still doubles with each depth is the
-#: exponent row and the cdf grid's integer sums: at depth 19 `cdf
-#: --format json` peaks near 45 MiB and `density`/`pmf` near 24 MiB.
+#: exponent row: at depth 19 `cdf`, `density` and `pmf --format json`
+#: each peak near 24 MiB.
 MATERIALIZATION_CAP = 19
 
 
@@ -152,10 +154,10 @@ def _check_leaf_index(k: int, n: int) -> None:
         raise RangeError(f"leaf index k={k} outside [0, 2**{n} - 1]")
 
 
-def _check_cap(n: int, cap: int, what: str) -> None:
-    if n > cap:
+def _check_cap(n: int, what: str) -> None:
+    if n > MATERIALIZATION_CAP:
         raise CapacityError(
-            f"{what} needs 2**{n} entries, above the materialization cap {cap}"
+            f"{what} needs 2**{n} entries, above the materialization cap {MATERIALIZATION_CAP}"
         )
 
 
@@ -194,7 +196,7 @@ def pmf_point_log2(k: int, params: WeaverParams) -> float:
     return ones * math.log2(p) + (params.n - ones) * math.log2(1.0 - p)
 
 
-def build_pmf_vector(params: WeaverParams, cap: int = MATERIALIZATION_CAP) -> WeaverDist:
+def build_pmf_vector(params: WeaverParams) -> WeaverDist:
     """Materialize the full pmf vector of W(n, p).
 
     The mass at leaf k depends on k only through ones(k), so entry k is
@@ -202,13 +204,13 @@ def build_pmf_vector(params: WeaverParams, cap: int = MATERIALIZATION_CAP) -> We
     row; the 2**n entries share those n+1 Fraction objects.  Entry k
     equals :func:`pmf_point` at k and the entries sum to 1 exactly.
     """
-    _check_cap(params.n, cap, "pmf vector")
+    _check_cap(params.n, "pmf vector")
     heights = [height for height, _ in jump_spectrum(params)]
-    row = geometric_triangle_row(params.n, cap)
+    row = geometric_triangle_row(params.n)
     return WeaverDist(params=params, pmf=tuple(map(heights.__getitem__, row)))
 
 
-def geometric_triangle_row(n: int, cap: int = MATERIALIZATION_CAP) -> list[int]:
+def geometric_triangle_row(n: int) -> list[int]:
     """Row n of the multiplicative triangle, as integer exponents.
 
     Entry k is the exponent of the bias ratio f = p/(1-p) in the mass at
@@ -217,7 +219,7 @@ def geometric_triangle_row(n: int, cap: int = MATERIALIZATION_CAP) -> list[int]:
     """
     if n < 0:
         raise RangeError(f"row index must be non-negative, got {n}")
-    _check_cap(n, cap, "triangle row")
+    _check_cap(n, "triangle row")
     row = [0]
     for _ in range(n):
         row += [e + 1 for e in row]
@@ -266,9 +268,7 @@ def cdf_at_dyadic(point: DyadicPoint, params: WeaverParams) -> Fraction:
     return total
 
 
-def cdf_grid(
-    params: WeaverParams, resolution: int, cap: int = MATERIALIZATION_CAP
-) -> tuple[list[int], int]:
+def cdf_grid(params: WeaverParams, resolution: int) -> tuple[Iterator[int], int]:
     """Distribution function of W(n, p) at every point k / 2**m, m = resolution.
 
     Returns the 2**m + 1 values as integer numerators over their common
@@ -277,16 +277,19 @@ def cdf_grid(
     depth-m mass numerators read through the exponent row, in O(2**m)
     integer adds.  Entry k over the denominator equals
     :func:`cdf_at_dyadic` at k / 2**m, which stays the O(n) point query.
+
+    The sums come one at a time from an iterator, not as a list; the cap
+    and refinement checks run when this is called, before the first one.
     """
-    _check_cap(resolution, cap, "cdf grid")
+    _check_cap(resolution, "cdf grid")
     if resolution > params.n:
         raise RefinementError(
             f"resolution {resolution} exceeds construction depth {params.n}; "
             "the value is not yet stable"
         )
     numerators, denominator = _mass_numerators(params.p, resolution)
-    row = geometric_triangle_row(resolution, cap)
-    return list(accumulate(map(numerators.__getitem__, row), initial=0)), denominator
+    row = geometric_triangle_row(resolution)
+    return accumulate(map(numerators.__getitem__, row), initial=0), denominator
 
 
 def _mass_numerators(p: Fraction, m: int) -> tuple[list[int], int]:

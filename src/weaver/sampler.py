@@ -383,7 +383,7 @@ def convergence_ks(
     limit = WeaverParams(n=resolution, p=p)
     sums, denominator = cdf_grid(limit, resolution)
     # int true division rounds exactly as float(Fraction) does
-    exact = np.array([total / denominator for total in sums[1:-1]])
+    exact = np.array([total / denominator for total in sums])[1:-1]
     grid = np.arange(1, grid_size) / grid_size
     out: list[tuple[int, float]] = []
     for n in depths:

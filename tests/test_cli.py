@@ -89,7 +89,7 @@ class TestRendering:
     @staticmethod
     def expected(argv, format):
         args = cli.parse_config(list(argv))
-        rows = cli._ROW_BUILDERS[args.command](args, exact.MATERIALIZATION_CAP)
+        rows = cli._ROW_BUILDERS[args.command](args)
         # a rational cell built from integers holds its (exact, approx)
         # texts; the oracle renders the Fraction of the exact text, so the
         # approx text is checked against it too
@@ -143,7 +143,7 @@ class TestRowView:
     )
     def test_sized_and_reiterable(self, argv, count):
         args = cli.parse_config(list(argv))
-        rows = cli._ROW_BUILDERS[args.command](args, exact.MATERIALIZATION_CAP)
+        rows = cli._ROW_BUILDERS[args.command](args)
         first = list(rows)
         assert len(rows) == len(first) == count
         assert list(rows) == first
@@ -365,10 +365,26 @@ class TestUsageErrors:
 
 
 class TestRuntimeErrors:
-    def test_capacity_exit_2(self, capsys):
+    def test_capacity_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "pmf", "--n", "30", "--p", "1/2")
         assert code == 2
         assert "materialization cap" in err
+        # one above the cap, in each table's own wording; cdf's resolution
+        # defaults to its depth.  A refused table opens no output file.
+        target = tmp_path / "table"
+        for argv, what in [
+            (("pmf", "--n", "20", "--p", "1/2"), "pmf vector"),
+            (("density", "--n", "20", "--p", "7/10"), "pmf vector"),
+            (("triangle", "--n", "20"), "triangle row"),
+            (("moments", "--n", "20", "--p", "3/7"), "moment enumeration"),
+            (("cdf", "--n", "20", "--p", "1/3"), "cdf grid"),
+        ]:
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.count("\n") == 1, argv
+            assert f"{what} needs 2**20 entries, above the materialization cap 19" in err
+            assert run_cli(capsys, *argv, "--output", str(target))[0] == 2
+            assert not target.exists(), argv
 
     def test_cdf_capacity_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "cdf", "--n", "30", "--p", "1/3")
@@ -411,43 +427,13 @@ class TestRuntimeErrors:
 
 
 class TestCapOverride:
-    def test_lowering_blocks_small_tables(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.CAP_ENV_VAR, "6")
-        code, _, err = run_cli(capsys, "pmf", "--n", "7", "--p", "1/2")
-        assert code == 2
-        assert "overridden to 6" in err
+    """What the one materialization cap bounds; nothing overrides it."""
 
-    def test_raising_unblocks(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.CAP_ENV_VAR, "7")
-        code, out, err = run_cli(capsys, "pmf", "--n", "7", "--p", "1/2")
-        assert code == 0
-        assert len(csv_rows(out)) == 128
-        assert "overridden to 7" in err
-
-    def test_unset_is_silent(self, capsys, monkeypatch):
-        monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
-        _, _, err = run_cli(capsys, "pmf", "--n", "2", "--p", "1/2")
-        assert err == ""
-
-    def test_garbage_value_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.CAP_ENV_VAR, "many")
-        code, _, err = run_cli(capsys, "pmf", "--n", "2", "--p", "1/2")
-        assert code == 2
-
-    @pytest.mark.parametrize("value", [-3, exact.MATERIALIZATION_CAP + 1])
-    def test_out_of_range_value_exit_2(self, capsys, monkeypatch, value):
-        monkeypatch.setenv(cli.CAP_ENV_VAR, str(value))
-        code, out, err = run_cli(capsys, "pmf", "--n", "2", "--p", "1/2")
-        assert code == 2
-        assert out == ""
-        assert f"must lie in [0, {exact.MATERIALIZATION_CAP}]" in err
-
-    def test_cdf_cap_bounds_the_resolution_not_the_depth(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.CAP_ENV_VAR, "3")
-        code, out, _ = run_cli(capsys, "cdf", "--n", "10", "--p", "1/3", "--resolution", "3")
+    def test_cdf_cap_bounds_the_resolution_not_the_depth(self, capsys):
+        code, out, _ = run_cli(capsys, "cdf", "--n", "24", "--p", "1/3", "--resolution", "3")
         assert code == 0
         assert len(csv_rows(out)) == 9
-        code, _, err = run_cli(capsys, "cdf", "--n", "10", "--p", "1/3", "--resolution", "4")
+        code, _, err = run_cli(capsys, "cdf", "--n", "20", "--p", "1/3")
         assert code == 2
         assert "cdf grid" in err
 
@@ -543,7 +529,7 @@ class TestArgvFuzz:
     def test_exit_status_and_output_contract(self, fuzz_output, data):
         argv = data.draw(_argv(fuzz_output), label="argv")
         out, err = io.StringIO(), io.StringIO()
-        with mock.patch.dict(os.environ, {cli.CAP_ENV_VAR: "8"}), \
+        with mock.patch.object(exact, "MATERIALIZATION_CAP", 8), \
                 contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = cli.main(argv)

@@ -1,5 +1,6 @@
 """Exact-arithmetic core: parameters, pmf, triangle, CDF, spectrum."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -178,14 +179,24 @@ class TestPmf:
             expected = math.log2(float(pmf_point(k, params)))
             assert pmf_point_log2(k, params) == pytest.approx(expected, rel=1e-12)
 
-    def test_materialization_cap(self):
+    def test_materialization_cap(self, monkeypatch):
         with pytest.raises(CapacityError):
             build_pmf_vector(WeaverParams(n=25, p=Fraction(1, 2)))
-        # an explicit cap can both lower and raise the bound
-        with pytest.raises(CapacityError):
-            build_pmf_vector(WeaverParams(n=5, p=Fraction(1, 2)), cap=4)
-        dist = build_pmf_vector(WeaverParams(n=5, p=Fraction(1, 2)), cap=5)
-        assert len(dist.pmf) == 32
+        # the cap is read when each table is asked for, and depth == cap is allowed
+        monkeypatch.setattr(exact, "MATERIALIZATION_CAP", 5)
+        half = Fraction(1, 2)
+        tables = {
+            "pmf vector": lambda n: build_pmf_vector(WeaverParams(n=n, p=half)),
+            "triangle row": geometric_triangle_row,
+            "cdf grid": lambda n: cdf_grid(WeaverParams(n=n, p=half), n),
+            "moment enumeration": lambda n: analysis.exact_moment(WeaverParams(n=n, p=half), 1),
+            "cell mass vector": lambda n: analysis.pmodel_cell_masses(n, half),
+        }
+        for what, build in tables.items():
+            build(5)
+            message = f"{what} needs 2**6 entries, above the materialization cap 5"
+            with pytest.raises(CapacityError, match=re.escape(message)):
+                build(6)
 
     def test_dist_mass_accessor(self):
         params = WeaverParams(n=4, p=Fraction(1, 3))
@@ -341,9 +352,10 @@ class TestCdfGrid:
         with pytest.raises(RefinementError, match="exceeds construction depth 3"):
             cdf_grid(WeaverParams(n=3, p=Fraction(1, 2)), 4)
 
-    def test_cap_checked_before_refinement(self):
+    def test_cap_checked_before_refinement(self, monkeypatch):
+        monkeypatch.setattr(exact, "MATERIALIZATION_CAP", 4)
         with pytest.raises(CapacityError, match="cdf grid needs 2\\*\\*5 entries"):
-            cdf_grid(WeaverParams(n=3, p=Fraction(1, 2)), 5, cap=4)
+            cdf_grid(WeaverParams(n=3, p=Fraction(1, 2)), 5)
 
 
 class TestJumpSpectrum:

@@ -19,8 +19,8 @@ from weaver.exact import (
     WeaverParams,
     _check_cap,
     _check_probability,
+    _log2,
     _mass_numerators,
-    geometric_triangle_row,
     pmf_point,
     pmf_point_log2,
 )
@@ -91,8 +91,7 @@ def exact_moment(params: WeaverParams, j: int) -> Fraction:
     _check_cap(params.n, "moment enumeration")
     n = params.n
     weights, denominator = _mass_numerators(params.p, n)
-    row = geometric_triangle_row(n)
-    total = sum(weights[e] * k**j for k, e in enumerate(row))
+    total = sum(weights[k.bit_count()] * k**j for k in range(1 << n))
     return Fraction(total, denominator * ((1 << n) - 1) ** j)
 
 
@@ -136,12 +135,13 @@ def local_density(k: int, params: WeaverParams) -> float:
 
     Exactly 1 for p = 1/2 at every leaf.  For depths beyond
     2**64 cells the value is assembled in log space (relative tolerance
-    1e-12).
+    1e-12); a density beyond binary64's range is inf.
     """
     n = params.n
     if n <= _DENSITY_EXACT_DEPTH:
         return float((1 << n) * pmf_point(k, params))
-    return 2.0 ** (n + pmf_point_log2(k, params))
+    log2_density = n + pmf_point_log2(k, params)
+    return 2.0**log2_density if log2_density < 1024 else math.inf
 
 
 def roughness_report(p: Fraction | str | float, level: int) -> RoughnessReport:
@@ -156,13 +156,13 @@ def roughness_report(p: Fraction | str | float, level: int) -> RoughnessReport:
         raise RangeError(f"level must be non-negative, got {level}")
     p = _check_probability(p)
     bias_ratio = p / (1 - p)
-    log2_f = math.log2(float(bias_ratio))
+    log2_f = _log2(bias_ratio)
     try:
         ratio = float(bias_ratio**level)
     except OverflowError:
         ratio = math.inf
-    log2_left = level * (1.0 + math.log2(float(1 - p)))
-    log2_right = level * (1.0 + math.log2(float(p)))
+    log2_left = level * (1.0 + _log2(1 - p))
+    log2_right = level * (1.0 + _log2(p))
     return RoughnessReport(
         p=p,
         bias_ratio=bias_ratio,

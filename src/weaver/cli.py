@@ -289,9 +289,9 @@ def _pmf_rows(args: argparse.Namespace) -> _Rows:
     numerators, denominator = exact._mass_numerators(args.p, args.n)
     heights = [_rational(w, denominator) for w in numerators]
     support = (1 << args.n) - 1
-    exponents = exact.geometric_triangle_row(args.n)
-    return _Rows(len(exponents), lambda: (
-        {"k": k, "y": _rational(k, support), "p": heights[e]} for k, e in enumerate(exponents)
+    return _Rows(support + 1, lambda: (
+        {"k": k, "y": _rational(k, support), "p": heights[k.bit_count()]}
+        for k in range(support + 1)
     ))
 
 
@@ -311,8 +311,9 @@ def _cdf_rows(args: argparse.Namespace) -> _Rows:
 
 
 def _triangle_rows(args: argparse.Namespace) -> _Rows:
-    row = exact.geometric_triangle_row(args.n)
-    return _Rows(len(row), lambda: ({"k": k, "exponent": e} for k, e in enumerate(row)))
+    exact._check_cap(args.n, "triangle row")
+    size = 1 << args.n
+    return _Rows(size, lambda: ({"k": k, "exponent": k.bit_count()} for k in range(size)))
 
 
 def _moments_rows(args: argparse.Namespace) -> list[dict[str, Any]]:
@@ -355,16 +356,15 @@ def _density_rows(args: argparse.Namespace) -> _Rows:
     numerators, denominator = exact._mass_numerators(args.p, args.n)
     densities = [_rational(w << args.n, denominator) for w in numerators]
     scale = 1 << args.n
-    exponents = exact.geometric_triangle_row(args.n)
 
     def rows() -> Iterator[dict[str, Any]]:
         right = _rational(0, scale)
-        for k, e in enumerate(exponents):
+        for k in range(scale):
             # each edge is rendered once: cell k's right is cell k+1's left
             left, right = right, _rational(k + 1, scale)
-            yield {"k": k, "left": left, "right": right, "density": densities[e]}
+            yield {"k": k, "left": left, "right": right, "density": densities[k.bit_count()]}
 
-    return _Rows(len(exponents), rows)
+    return _Rows(scale, rows)
 
 
 _ROW_BUILDERS = {

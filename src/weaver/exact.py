@@ -24,13 +24,11 @@ from typing import Iterator
 
 from weaver.errors import CapacityError, RangeError, RefinementError
 
-#: Largest depth for which full vectors of 2**n rationals may be
-#: materialized, the one bound of every 2**n table; there is no
-#: override.  Beyond the cap only pointwise / streaming queries are
-#: allowed; every closed form here is O(n) per point.  The CLI streams
-#: its tables row by row; what still doubles with each depth is the
-#: exponent row: at depth 19 `cdf`, `density` and `pmf --format json`
-#: each peak near 24 MiB.
+#: Largest depth of any 2**n table, the one bound of them all; there is
+#: no override.  Beyond the cap only pointwise queries are allowed;
+#: every closed form here is O(n) per point.  The tables read a leaf's
+#: mass from its popcount and the CLI streams them row by row, so their
+#: memory does not grow with depth and the cap bounds time only.
 MATERIALIZATION_CAP = 19
 
 
@@ -192,22 +190,40 @@ def pmf_point_log2(k: int, params: WeaverParams) -> float:
     """
     _check_leaf_index(k, params.n)
     ones = k.bit_count()
-    p = float(params.p)
-    return ones * math.log2(p) + (params.n - ones) * math.log2(1.0 - p)
+    p = params.p
+    return ones * _log2(p) + (params.n - ones) * _log2(1 - p)
+
+
+def _log2(x: Fraction) -> float:
+    """Base-2 logarithm of the positive rational x, in binary64, at any magnitude.
+
+    x is 2**shift times a quotient in [3/4, 3/2), a shift of its numerator
+    or denominator, so no float of x itself is formed (p = 10**-400 would
+    round to 0.0), and log1p of the exact quotient minus 1 keeps full
+    relative precision near x = 1.
+    """
+    num, den = x.numerator, x.denominator
+    shift = num.bit_length() - den.bit_length()  # num / den / 2**shift in (1/2, 2)
+    num, den = (num, den << shift) if shift >= 0 else (num << -shift, den)
+    if 4 * num < 3 * den:
+        num, shift = num << 1, shift - 1
+    elif 2 * num >= 3 * den:
+        den, shift = den << 1, shift + 1
+    return shift + math.log1p((num - den) / den) / math.log(2)
 
 
 def build_pmf_vector(params: WeaverParams) -> WeaverDist:
-    """Materialize the full pmf vector of W(n, p).
+    """The full pmf vector of W(n, p), as a tuple of 2**n entries.
 
     The mass at leaf k depends on k only through ones(k), so entry k is
-    the :func:`jump_spectrum` height indexed by entry k of the exponent
-    row; the 2**n entries share those n+1 Fraction objects.  Entry k
-    equals :func:`pmf_point` at k and the entries sum to 1 exactly.
+    the :func:`jump_spectrum` height indexed by ones(k); the 2**n entries
+    share those n+1 Fraction objects.  Entry k equals :func:`pmf_point`
+    at k and the entries sum to 1 exactly.
     """
     _check_cap(params.n, "pmf vector")
     heights = [height for height, _ in jump_spectrum(params)]
-    row = geometric_triangle_row(params.n)
-    return WeaverDist(params=params, pmf=tuple(map(heights.__getitem__, row)))
+    ones = map(int.bit_count, range(1 << params.n))
+    return WeaverDist(params=params, pmf=tuple(map(heights.__getitem__, ones)))
 
 
 def geometric_triangle_row(n: int) -> list[int]:
@@ -215,7 +231,8 @@ def geometric_triangle_row(n: int) -> list[int]:
 
     Entry k is the exponent of the bias ratio f = p/(1-p) in the mass at
     leaf k, i.e. the number of one-bits of k.  Row n+1 is row n followed
-    by row n shifted up by one.
+    by row n shifted up by one.  The independent oracle of the tables,
+    which read ones(k) from k.
     """
     if n < 0:
         raise RangeError(f"row index must be non-negative, got {n}")
@@ -274,7 +291,7 @@ def cdf_grid(params: WeaverParams, resolution: int) -> tuple[Iterator[int], int]
     Returns the 2**m + 1 values as integer numerators over their common
     denominator d**m (p = a/d), like :func:`_mass_numerators`.  The cdf
     is stable under refinement, so the grid is the running sum of the
-    depth-m mass numerators read through the exponent row, in O(2**m)
+    depth-m mass numerators, leaf k's indexed by ones(k), in O(2**m)
     integer adds.  Entry k over the denominator equals
     :func:`cdf_at_dyadic` at k / 2**m, which stays the O(n) point query.
 
@@ -288,8 +305,8 @@ def cdf_grid(params: WeaverParams, resolution: int) -> tuple[Iterator[int], int]
             "the value is not yet stable"
         )
     numerators, denominator = _mass_numerators(params.p, resolution)
-    row = geometric_triangle_row(resolution)
-    return accumulate(map(numerators.__getitem__, row), initial=0), denominator
+    ones = map(int.bit_count, range(1 << resolution))
+    return accumulate(map(numerators.__getitem__, ones), initial=0), denominator
 
 
 def _mass_numerators(p: Fraction, m: int) -> tuple[list[int], int]:

@@ -13,10 +13,11 @@ from weaver.exact import WeaverParams, build_pmf_vector, realization_value
 
 probabilities = st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100))
 depths = st.integers(min_value=1, max_value=10)
+TINY = Fraction(1, 10**400)  # its float is 0.0
 
 
 def enumerated_moment(n: int, p: Fraction, j: int) -> Fraction:
-    # the halving cascade, not the exponent row that exact_moment reads
+    # the halving cascade, not the popcount walk that exact_moment reads
     masses = analysis.pmodel_cell_masses(n, p)
     return sum(
         (mass * realization_value(k, n) ** j for k, mass in enumerate(masses)),
@@ -180,6 +181,19 @@ class TestLocalDensity:
         # one more zero-selection multiplies the density by 2(1-p)
         assert log_side == pytest.approx(exact_side * 2 * float(1 - p), rel=1e-9)
 
+    @pytest.mark.parametrize("p", [TINY, 1 - TINY], ids=["1e-400", "1-1e-400"])
+    def test_log_space_at_extreme_p(self, p):
+        # nearly all mass sits on the leaf of the likely selections
+        likely = 0 if p < Fraction(1, 2) else (1 << 65) - 1
+        params = WeaverParams(n=65, p=p)
+        assert analysis.local_density(likely, params) == pytest.approx(2.0**65, rel=1e-12)
+        assert analysis.local_density(likely ^ 1, params) == 0.0  # 2**65 * 10**-400 underflows
+
+    def test_density_beyond_binary64_is_inf(self):
+        params = WeaverParams(n=2000, p=Fraction(9, 10))
+        assert analysis.local_density((1 << 2000) - 1, params) == math.inf  # 2**1696.0...
+        assert analysis.local_density(0, params) == 0.0
+
 
 class TestRoughness:
     def test_balanced_cascade_is_smooth(self):
@@ -223,6 +237,30 @@ class TestRoughness:
         assert report.right_product == math.inf
         assert math.isfinite(report.log2_right_product)
         assert math.isfinite(report.log2_left_product)
+
+    @pytest.mark.parametrize("p", ["1/3", "1/2", "2/3", "3/7"])
+    def test_agrees_with_the_float_path(self, p):
+        p = Fraction(p)
+        for level in (1, 7, 60):
+            report = analysis.roughness_report(p, level)
+            old_dimension = math.log2(float(p / (1 - p)))
+            assert report.fractal_dimension == pytest.approx(old_dimension, rel=1e-12)
+            old_left = level * (1.0 + math.log2(float(1 - p)))
+            old_right = level * (1.0 + math.log2(float(p)))
+            assert report.log2_left_product == pytest.approx(old_left, rel=1e-12)
+            assert report.log2_right_product == pytest.approx(old_right, rel=1e-12)
+
+    def test_extreme_p(self):
+        # log2(10**400) bits separate the two selections' masses
+        bits = 400 * math.log2(10)
+        report = analysis.roughness_report(TINY, 10)
+        assert report.fractal_dimension == pytest.approx(-bits, rel=1e-12)
+        assert (report.ratio, report.left_product, report.right_product) == (0.0, 1024.0, 0.0)
+        assert report.log2_right_product == pytest.approx(10 * (1 - bits), rel=1e-12)
+        report = analysis.roughness_report(1 - TINY, 10)
+        assert report.fractal_dimension == pytest.approx(bits, rel=1e-12)
+        assert (report.ratio, report.left_product, report.right_product) == (math.inf, 0.0, 1024.0)
+        assert report.log2_left_product == pytest.approx(10 * (1 - bits), rel=1e-12)
 
     def test_level_validated(self):
         with pytest.raises(RangeError):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from weaver import analysis, cli, exact
 from weaver.errors import RangeError
+from weaver.exact import WeaverParams
 
 
 def run_cli(capsys, *argv):
@@ -150,6 +151,44 @@ class TestRowView:
         assert first[0] is not next(iter(rows))  # a fresh row, not a stored one
 
 
+class TestNoStoredRow:
+    """Every 2**n table reads ones(k) from k, so geometric_triangle_row's
+    doubling recursion stays an independent oracle that no table calls."""
+
+    ARGV = {
+        "pmf": ("--n", "4", "--p", "2/3"),
+        "cdf": ("--n", "5", "--p", "1/3", "--resolution", "4"),
+        "triangle": ("--n", "4"),
+        "moments": ("--n", "5", "--p", "3/7"),
+        "decompose": ("--n", "4"),
+        "sample": ("--n", "3", "--p", "2/3", "--reps", "50", "--seed", "3"),
+        "converge": ("--n", "3", "--p", "1/4"),
+        "density": ("--n", "4", "--p", "7/10"),
+    }
+
+    def test_tables_never_build_the_row(self, capsys, monkeypatch):
+        assert set(self.ARGV) == set(cli._ROW_BUILDERS)
+        normal = {command: run_cli(capsys, command, *argv) for command, argv in self.ARGV.items()}
+
+        def refuse(n):
+            raise AssertionError(f"a table built the exponent row of depth {n}")
+
+        monkeypatch.setattr(exact, "geometric_triangle_row", refuse)
+        for command, argv in self.ARGV.items():
+            assert run_cli(capsys, command, *argv) == normal[command], command
+        params = WeaverParams(n=5, p=Fraction(3, 7))
+        pmf = exact.build_pmf_vector(params).pmf
+        assert pmf == tuple(exact.pmf_point(k, params) for k in range(32))
+        sums, denominator = exact.cdf_grid(params, 4)
+        assert [Fraction(total, denominator) for total in sums] == [
+            exact.cdf_at_dyadic(exact.DyadicPoint(k, 4), params) for k in range(17)
+        ]
+        assert analysis.exact_moment(params, 1) == params.p
+        assert analysis.exact_moment(params, 2) == (
+            analysis.exact_variance(params) + params.p**2
+        )
+
+
 class TestRationalCell:
     """Both texts of a rational cell against str() and float() of its Fraction."""
 
@@ -215,9 +254,13 @@ class TestCdfCommand:
 
 
 class TestOtherTables:
-    def test_triangle(self, capsys):
-        _, out, _ = run_cli(capsys, "triangle", "--n", "2")
-        assert [row["exponent"] for row in csv_rows(out)] == ["0", "1", "1", "2"]
+    @pytest.mark.parametrize("n", range(11))
+    def test_triangle(self, capsys, n):
+        # the table reads ones(k) from k; the doubling recursion is the oracle
+        _, out, _ = run_cli(capsys, "triangle", "--n", str(n))
+        rows = csv_rows(out)
+        assert [row["k"] for row in rows] == [str(k) for k in range(1 << n)]
+        assert [row["exponent"] for row in rows] == list(map(str, exact.geometric_triangle_row(n)))
 
     def test_moments_contains_closed_forms(self, capsys):
         _, out, _ = run_cli(capsys, "moments", "--n", "3", "--p", "1/2", "--max-order", "1")

@@ -1,6 +1,8 @@
 """Exact-arithmetic core: parameters, pmf, triangle, CDF, spectrum."""
 
+import math
 import re
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -173,8 +175,6 @@ class TestPmf:
 
     def test_log_pmf_agrees(self):
         params = WeaverParams(n=12, p=Fraction(3, 7))
-        import math
-
         for k in (0, 1, 100, 4095):
             expected = math.log2(float(pmf_point(k, params)))
             assert pmf_point_log2(k, params) == pytest.approx(expected, rel=1e-12)
@@ -209,6 +209,60 @@ class TestPmf:
     def test_entries_share_the_jump_heights(self, n, p):
         pmf = build_pmf_vector(WeaverParams(n=n, p=p)).pmf
         assert len({id(mass) for mass in pmf}) <= n + 1
+
+
+def log2_reference(x: Fraction) -> float:
+    """log2 of x computed in 50-digit decimal, rounded once to binary64."""
+    with localcontext() as context:
+        context.prec = 50
+        return float((Decimal(x.numerator) / Decimal(x.denominator)).ln() / Decimal(2).ln())
+
+
+TINY = Fraction(1, 10**400)  # its float is 0.0
+
+
+class TestLogSpace:
+    """The log-space helpers take log2 of p and 1 - p exactly, at any p."""
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            Fraction(1), Fraction(1, 3), Fraction(3, 7), Fraction(3, 2), Fraction(3, 4),
+            1 - Fraction(1, 10**6), 1 + Fraction(1, 10**6), 1 - Fraction(1, 10**12),
+            TINY, 1 - TINY, 1 / TINY - 1, Fraction(1, 2**1100), Fraction(3**700, 2**1100),
+        ],
+        ids=[
+            "1", "1/3", "3/7", "3/2", "3/4", "1-1e-6", "1+1e-6", "1-1e-12",
+            "1e-400", "1-1e-400", "1e400-1", "2**-1100", "3**700/2**1100",
+        ],
+    )
+    def test_log2_of_a_rational(self, x):
+        assert exact._log2(x) == pytest.approx(log2_reference(x), rel=1e-15, abs=0)
+
+    LEAVES = (0, 1, 12345, (1 << 70) - 1)
+
+    @pytest.mark.parametrize("p", ["1/3", "1/2", "2/3", "3/7"])
+    def test_pmf_log2_agrees_with_the_float_path(self, p):
+        params = WeaverParams(n=70, p=Fraction(p))
+        x = float(params.p)
+        for k in self.LEAVES:
+            ones = k.bit_count()
+            old = ones * math.log2(x) + (70 - ones) * math.log2(1.0 - x)
+            assert pmf_point_log2(k, params) == pytest.approx(old, rel=1e-12)
+
+    # near p = 1 the float path's 1.0 - p and log2(float(p)) lose about
+    # 1e-10 relative, so the decimal reference is the oracle here
+    @pytest.mark.parametrize(
+        "p",
+        [TINY, 1 - TINY, Fraction(1, 10**6), 1 - Fraction(1, 10**6)],
+        ids=["1e-400", "1-1e-400", "1e-6", "1-1e-6"],
+    )
+    def test_pmf_log2_at_extreme_p(self, p):
+        params = WeaverParams(n=70, p=p)
+        for k in self.LEAVES:
+            ones = k.bit_count()
+            expected = ones * log2_reference(p) + (70 - ones) * log2_reference(1 - p)
+            assert pmf_point_log2(k, params) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 class TestRealizations:

@@ -1,11 +1,13 @@
-"""Closed-form moments, the weaving/merging variance split, and limit diagnostics.
+"""Exact moments, the weaving/merging variance split, and limit diagnostics.
 
 The conditional mean under exponential sampling has mean p at every
 depth and variance (4**n - 1) / (3 * (2**n - 1)**2) * p * (1-p), which
-decreases monotonically to p*(1-p)/3.  Forcing every lattice point back
-onto {0, 1} restores the full Bernoulli variance p*(1-p); the gap is the
-expected conditional variance, which splits p*(1-p) into a "weaving"
-share (variance of the conditional means) and a "merging" share.
+decreases monotonically to p*(1-p)/3; raw moments of every order follow
+exactly from the n selection bits, one bit at a time, at any depth.
+Forcing every lattice point back onto {0, 1} restores the full Bernoulli
+variance p*(1-p); the gap is the expected conditional variance, which
+splits p*(1-p) into a "weaving" share (variance of the conditional means)
+and a "merging" share.
 """
 
 from __future__ import annotations
@@ -15,15 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from weaver.errors import RangeError
-from weaver.exact import (
-    WeaverParams,
-    _check_cap,
-    _check_probability,
-    _log2,
-    _mass_numerators,
-    pmf_point,
-    pmf_point_log2,
-)
+from weaver.exact import WeaverParams, _check_cap, _check_probability, _log2, pmf_point_log2
 
 
 @dataclass(frozen=True)
@@ -76,23 +70,35 @@ def exact_variance(params: WeaverParams) -> Fraction:
     return Fraction((1 << 2 * n) - 1, 3 * ((1 << n) - 1) ** 2) * p * (1 - p)
 
 
-def exact_moment(params: WeaverParams, j: int) -> Fraction:
-    """j-th raw moment by exact enumeration over all 2**n leaves.
+def _moment_numerators(params: WeaverParams, order: int) -> tuple[list[int], int]:
+    """Numerators of E[K**t], t = 0..order, over d**n, for K = sum(b_i * 2**i).
 
-    The mass at leaf k is the :func:`exact._mass_numerators` entry for
-    ones(k) over d**n (p = a/d), and the support point is k / (2**n - 1);
-    the sum runs over integer numerators and is divided once at the end.
+    With p = a/d, adding selection bit i maps m[t] = d**i * E[K**t] to
+    d*m[t] + a * sum(C(t, s) * m[s] * 2**(i*(t-s)) for s < t): O(n * order**2)
+    integer work, no leaf visited.  Moment t of W(n, p) is m[t] / (d**n * (2**n - 1)**t).
+    """
+    a, d = params.p.numerator, params.p.denominator
+    moments = [1] + [0] * order
+    for i in range(params.n):
+        for t in range(order, -1, -1):  # descending: m[s < t] are still bit i's inputs
+            spread, binomial = 0, 1  # the sum by Horner's rule in 2**i; binomial is C(t, s)
+            for s in range(t):
+                spread = (spread + binomial * moments[s]) << i
+                binomial = binomial * (t - s) // (s + 1)
+            moments[t] = d * moments[t] + a * spread
+    return moments, d**params.n
+
+
+def exact_moment(params: WeaverParams, j: int) -> Fraction:
+    """j-th raw moment of W(n, p), exact, in O(n * j**2) from the selection bits.
 
     Strictly decreasing in j for fixed parameters, since every interior
     support point lies strictly inside (0, 1).
     """
     if j < 1:
         raise RangeError(f"moment order must be positive, got {j}")
-    _check_cap(params.n, "moment enumeration")
-    n = params.n
-    weights, denominator = _mass_numerators(params.p, n)
-    total = sum(weights[k.bit_count()] * k**j for k in range(1 << n))
-    return Fraction(total, denominator * ((1 << n) - 1) ** j)
+    numerators, denominator = _moment_numerators(params, j)
+    return Fraction(numerators[j], denominator * ((1 << params.n) - 1) ** j)
 
 
 def variance_decomposition(n: int, p: Fraction | str | float) -> DecompositionRow:
@@ -125,23 +131,19 @@ def limit_variance(p: Fraction | str | float) -> Fraction:
     return p * (1 - p) / 3
 
 
-#: Depths up to this still evaluate the cell density exactly; deeper
-#: requests go through base-2 logarithms.
-_DENSITY_EXACT_DEPTH = 64
+def _exp2(log2_value: float) -> float:
+    """2**log2_value in binary64: inf past its range, 0.0 below it."""
+    return 2.0**log2_value if log2_value < 1024 else math.inf
 
 
 def local_density(k: int, params: WeaverParams) -> float:
     """Average density over the cell around leaf k: 2**n times its mass.
 
-    Exactly 1 for p = 1/2 at every leaf.  For depths beyond
-    2**64 cells the value is assembled in log space (relative tolerance
-    1e-12); a density beyond binary64's range is inf.
+    Assembled in log space at every depth, 2**(n + log2 mass), to a
+    relative tolerance of 1e-12; exactly 1 for p = 1/2 at every leaf, and
+    inf where the density lies beyond binary64's range.
     """
-    n = params.n
-    if n <= _DENSITY_EXACT_DEPTH:
-        return float((1 << n) * pmf_point(k, params))
-    log2_density = n + pmf_point_log2(k, params)
-    return 2.0**log2_density if log2_density < 1024 else math.inf
+    return _exp2(params.n + pmf_point_log2(k, params))
 
 
 def roughness_report(p: Fraction | str | float, level: int) -> RoughnessReport:
@@ -157,20 +159,16 @@ def roughness_report(p: Fraction | str | float, level: int) -> RoughnessReport:
     p = _check_probability(p)
     bias_ratio = p / (1 - p)
     log2_f = _log2(bias_ratio)
-    try:
-        ratio = float(bias_ratio**level)
-    except OverflowError:
-        ratio = math.inf
     log2_left = level * (1.0 + _log2(1 - p))
     log2_right = level * (1.0 + _log2(p))
     return RoughnessReport(
         p=p,
         bias_ratio=bias_ratio,
         level=level,
-        ratio=ratio,
+        ratio=_exp2(level * log2_f),
         fractal_dimension=log2_f,
-        left_product=2.0 ** log2_left if log2_left < 1024 else math.inf,
-        right_product=2.0 ** log2_right if log2_right < 1024 else math.inf,
+        left_product=_exp2(log2_left),
+        right_product=_exp2(log2_right),
         log2_left_product=log2_left,
         log2_right_product=log2_right,
     )

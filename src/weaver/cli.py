@@ -131,7 +131,7 @@ def build_parser() -> _Parser:
     sub = add("triangle", "exponent triangle row (one-bit counts per leaf)")
     sub.add_argument("--n", type=_non_negative_int, required=True)
 
-    sub = add("moments", "closed-form and enumerated moments")
+    sub = add("moments", "closed-form variance and exact raw moments")
     sub.add_argument("--n", type=_positive_int, required=True)
     sub.add_argument("--p", type=_parse_probability, required=True)
     sub.add_argument("--max-order", type=_positive_int, default=4)
@@ -318,14 +318,16 @@ def _triangle_rows(args: argparse.Namespace) -> _Rows:
 
 def _moments_rows(args: argparse.Namespace) -> list[dict[str, Any]]:
     params = WeaverParams(n=args.n, p=args.p)
-    rows = [
+    numerators, denominator = analysis._moment_numerators(params, args.max_order)
+    support = (1 << args.n) - 1
+    return [
         {"statistic": "mean", "value": args.p},
         {"statistic": "variance", "value": analysis.exact_variance(params)},
         {"statistic": "limit_variance", "value": analysis.limit_variance(args.p)},
+    ] + [
+        {"statistic": f"moment_{j}", "value": _rational(numerators[j], denominator * support**j)}
+        for j in range(1, args.max_order + 1)
     ]
-    for j in range(1, args.max_order + 1):
-        rows.append({"statistic": f"moment_{j}", "value": analysis.exact_moment(params, j)})
-    return rows
 
 
 def _decompose_rows(args: argparse.Namespace) -> list[dict[str, Any]]:

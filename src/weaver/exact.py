@@ -24,9 +24,9 @@ from typing import Iterator
 
 from weaver.errors import CapacityError, RangeError, RefinementError
 
-#: Largest depth of any 2**n table, the one bound of them all; there is
-#: no override.  Beyond the cap only pointwise queries are allowed;
-#: every closed form here is O(n) per point.  The tables read a leaf's
+#: Largest depth of the 2**n tables (pmf vector, triangle row, cdf grid,
+#: cell mass vector), with no override; point queries are O(n), and the
+#: moments O(n * order**2), at any depth.  The tables read a leaf's
 #: mass from its popcount and the CLI streams them row by row, so their
 #: memory does not grow with depth and the cap bounds time only.
 MATERIALIZATION_CAP = 19

@@ -9,11 +9,13 @@ full law, mirror symmetry, the halving-cascade equivalence, and the
 total-variance split of the merged variable.
 """
 
+import os
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +61,8 @@ def test_criterion_01_depth_three_pmf_through_the_cli():
             capture_output=True,
             text=True,
             check=True,
+            # the package from this checkout, installed or not
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
         )
         rows = completed.stdout.strip().splitlines()
         header = rows[0].split(",")

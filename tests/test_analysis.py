@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from weaver import analysis
 from weaver.errors import RangeError
-from weaver.exact import WeaverParams, build_pmf_vector, realization_value
+from weaver.exact import WeaverParams, build_pmf_vector, pmf_point, realization_value
 
 probabilities = st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100))
 depths = st.integers(min_value=1, max_value=10)
@@ -45,11 +45,28 @@ class TestMoments:
         assert analysis.exact_variance(WeaverParams(n=2, p=p)) == Fraction(5, 36)
         assert analysis.exact_variance(WeaverParams(n=3, p=p)) == Fraction(3, 28)
 
-    @given(n=depths, p=probabilities, j=st.integers(min_value=1, max_value=5))
+    @given(n=depths, p=probabilities, j=st.integers(min_value=1, max_value=8))
     @settings(max_examples=40)
     def test_general_moments_match_enumeration(self, n, p, j):
         params = WeaverParams(n=n, p=p)
         assert analysis.exact_moment(params, j) == enumerated_moment(n, p, j)
+
+    @pytest.mark.parametrize("n", [20, 64, 200])
+    @pytest.mark.parametrize("p", [Fraction(3, 7), TINY], ids=["3/7", "1e-400"])
+    def test_low_orders_beyond_the_table_cap(self, n, p):
+        params = WeaverParams(n=n, p=p)
+        assert analysis.exact_moment(params, 1) == p
+        assert analysis.exact_moment(params, 2) == analysis.exact_variance(params) + p * p
+
+    @pytest.mark.parametrize("n", [5, 64])
+    def test_mirror_identity(self, n):
+        # complementing every selection maps Y under p onto 1 - Y under 1 - p
+        p = Fraction(3, 7)
+        params, mirrored = WeaverParams(n=n, p=p), WeaverParams(n=n, p=1 - p)
+        raw = [Fraction(1)] + [analysis.exact_moment(params, t) for t in range(1, 7)]
+        for j in range(1, 7):
+            expected = sum(math.comb(j, t) * (-1) ** t * raw[t] for t in range(j + 1))
+            assert analysis.exact_moment(mirrored, j) == expected
 
     def test_moment_order_validated(self):
         with pytest.raises(RangeError):
@@ -172,14 +189,22 @@ class TestLocalDensity:
         assert analysis.local_density(7, params) == pytest.approx(64 / 27)
         assert analysis.local_density(0, params) == pytest.approx(8 / 27)
 
+    @given(n=st.integers(min_value=1, max_value=64), p=probabilities, data=st.data())
+    def test_matches_the_exact_mass(self, n, p, data):
+        # 2**n times the exact rational mass, rounded once, is the oracle
+        params = WeaverParams(n=n, p=p)
+        k = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1), label="k")
+        expected = float((1 << n) * pmf_point(k, params))
+        assert analysis.local_density(k, params) == pytest.approx(expected, rel=1e-12)
+
     def test_log_space_fallback_continuous(self):
-        # values straddling the exact/log-space switchover agree closely
+        # the same leaf one depth further down, across the old 2**64 fork:
+        # one more zero-selection multiplies the density by 2(1-p)
         p = Fraction(3, 5)
         k = (1 << 40) - 1
-        exact_side = analysis.local_density(k, WeaverParams(n=64, p=p))
-        log_side = analysis.local_density(k, WeaverParams(n=65, p=p))
-        # one more zero-selection multiplies the density by 2(1-p)
-        assert log_side == pytest.approx(exact_side * 2 * float(1 - p), rel=1e-9)
+        shallow = analysis.local_density(k, WeaverParams(n=64, p=p))
+        deeper = analysis.local_density(k, WeaverParams(n=65, p=p))
+        assert deeper == pytest.approx(shallow * 2 * float(1 - p), rel=1e-9)
 
     @pytest.mark.parametrize("p", [TINY, 1 - TINY], ids=["1e-400", "1-1e-400"])
     def test_log_space_at_extreme_p(self, p):
@@ -249,6 +274,7 @@ class TestRoughness:
             old_right = level * (1.0 + math.log2(float(p)))
             assert report.log2_left_product == pytest.approx(old_left, rel=1e-12)
             assert report.log2_right_product == pytest.approx(old_right, rel=1e-12)
+            assert report.ratio == pytest.approx(float((p / (1 - p)) ** level), rel=1e-12)
 
     def test_extreme_p(self):
         # log2(10**400) bits separate the two selections' masses

@@ -270,6 +270,26 @@ class TestOtherTables:
         assert by_name["limit_variance"] == "1/12"
         assert by_name["moment_1"] == "1/2"
 
+    @pytest.mark.parametrize("n", [20, 64])
+    def test_moments_beyond_the_table_cap(self, capsys, n):
+        # the moments walk the n selection bits, so no depth is refused
+        p = Fraction(3, 7)
+        code, out, _ = run_cli(capsys, "moments", "--n", str(n), "--p", "3/7")
+        assert code == 0
+        by_name = {row["statistic"]: Fraction(row["value_exact"]) for row in csv_rows(out)}
+        assert by_name["moment_1"] == p
+        variance = Fraction(4**n - 1, 3 * (2**n - 1) ** 2) * p * (1 - p)
+        assert by_name["moment_2"] == variance + p**2
+
+    def test_moments_high_order(self, capsys):
+        # order 200 from one pass, against the 8 leaves summed directly
+        _, out, _ = run_cli(capsys, "moments", "--n", "3", "--p", "1/2", "--max-order", "200")
+        by_name = {row["statistic"]: row for row in csv_rows(out)}
+        moment = sum(Fraction(k, 7) ** 200 for k in range(8)) / 8
+        assert by_name["moment_200"]["value_exact"] == str(moment)
+        assert by_name["moment_200"]["value_approx"] == repr(float(moment))
+        assert len(by_name) == 203
+
     def test_decompose_table(self, capsys):
         _, out, _ = run_cli(capsys, "decompose", "--n", "5")
         rows = csv_rows(out)
@@ -419,7 +439,6 @@ class TestRuntimeErrors:
             (("pmf", "--n", "20", "--p", "1/2"), "pmf vector"),
             (("density", "--n", "20", "--p", "7/10"), "pmf vector"),
             (("triangle", "--n", "20"), "triangle row"),
-            (("moments", "--n", "20", "--p", "3/7"), "moment enumeration"),
             (("cdf", "--n", "20", "--p", "1/3"), "cdf grid"),
         ]:
             code, out, err = run_cli(capsys, *argv)

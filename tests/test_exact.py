@@ -189,7 +189,6 @@ class TestPmf:
             "pmf vector": lambda n: build_pmf_vector(WeaverParams(n=n, p=half)),
             "triangle row": geometric_triangle_row,
             "cdf grid": lambda n: cdf_grid(WeaverParams(n=n, p=half), n),
-            "moment enumeration": lambda n: analysis.exact_moment(WeaverParams(n=n, p=half), 1),
             "cell mass vector": lambda n: analysis.pmodel_cell_masses(n, half),
         }
         for what, build in tables.items():
@@ -197,6 +196,8 @@ class TestPmf:
             message = f"{what} needs 2**6 entries, above the materialization cap 5"
             with pytest.raises(CapacityError, match=re.escape(message)):
                 build(6)
+        # the moments walk the n selection bits, not the 2**n leaves
+        assert analysis.exact_moment(WeaverParams(n=6, p=half), 1) == half
 
     def test_dist_mass_accessor(self):
         params = WeaverParams(n=4, p=Fraction(1, 3))

@@ -19,17 +19,13 @@ from math import gcd
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 # the sampler side (weaver.parents, weaver.sampler) loads numpy, so only
-# a `sample` run imports it, after parsing
+# a `sample` run imports it, when argparse converts its --parents
 from weaver import analysis, exact
-from weaver.errors import RangeError, WeaverError
+from weaver.errors import CapacityError, RangeError, WeaverError
 from weaver.exact import WeaverParams
 
 
 class _Parser(argparse.ArgumentParser):
-    #: set on the top-level parser: the `sample` subparser, which reports a
-    #: parent spec that its family rejects (see parse_config)
-    sample: argparse.ArgumentParser
-
     # argparse exits with status 2 on bad flags; the contract wants 1
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
@@ -56,12 +52,13 @@ _PARENT_FACTORIES = {
     "gaussian": ("gaussian", 2),
 }
 
-_ParentSpec = tuple[str, list[float]]
 
+def _parse_parent(spec: str) -> Any:
+    """The parent population of one spec, built by its family's factory.
 
-def _parse_parent(spec: str) -> _ParentSpec:
-    """The factory name and parameters of one parent spec, syntax checked;
-    the factory's own checks run in parse_config."""
+    Argparse calls this only to convert a `sample` run's --parents, so no
+    other command, nor `sample --help`, imports weaver.parents.
+    """
     name, _, arg_text = spec.partition(":")
     key = name.strip().lower()
     if key not in _PARENT_FACTORIES:
@@ -78,10 +75,15 @@ def _parse_parent(spec: str) -> _ParentSpec:
         raise argparse.ArgumentTypeError(
             f"parent family {name!r} takes {arity} parameter(s), got {len(args)}"
         )
-    return factory, args
+    from weaver import parents
+
+    try:
+        return getattr(parents, factory)(*args)
+    except WeaverError as err:
+        raise argparse.ArgumentTypeError(str(err))
 
 
-def _parse_parent_pair(text: str) -> tuple[_ParentSpec, _ParentSpec]:
+def _parse_parent_pair(text: str) -> tuple[Any, Any]:
     specs = text.split(";")
     if len(specs) != 2:
         raise argparse.ArgumentTypeError(
@@ -151,7 +153,6 @@ def build_parser() -> _Parser:
     )
     sub.add_argument("--reps", type=_positive_int, default=10000)
     sub.add_argument("--seed", type=_non_negative_int, default=0)
-    parser.sample = sub
 
     sub = add("converge", "variance ratio against its limit 1/3 for depths 1..n")
     sub.add_argument("--n", type=_positive_int, default=40)
@@ -165,35 +166,48 @@ def build_parser() -> _Parser:
 
 
 def parse_config(argv: list[str]) -> argparse.Namespace:
-    """Parse and validate argv; usage errors exit with 1.
+    """Parse and validate argv; usage errors exit with 1."""
+    return build_parser().parse_args(argv)
 
-    A `sample` run's two parents are built here, after parsing, so that
-    no other command imports weaver.parents; a spec its family rejects
-    is a usage error of `sample --parents`, as a bad spec's syntax is.
-    """
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "sample":
-        from weaver import parents
 
-        try:
-            args.parents = tuple(
-                getattr(parents, factory)(*params) for factory, params in args.parents
-            )
-        except WeaverError as err:
-            parser.sample.error(f"argument --parents: {err}")
-    return args
+def _check_digits(values: Iterable[int]) -> None:
+    """Refuse a table that would print one of ``values`` before its first
+    byte: str() of an int with more than sys.get_int_max_str_digits()
+    digits raises."""
+    limit = sys.get_int_max_str_digits()
+    if limit and max(map(abs, values), default=0) >= 10**limit:
+        raise CapacityError(
+            f"a table cell needs an integer of more than {limit} digits, "
+            "above Python's int-to-str limit (PYTHONINTMAXSTRDIGITS raises it)"
+        )
+
+
+def _printed_ints(rows: Iterable[dict[str, Any]]) -> Iterator[int]:
+    """Every int that the rows print, alone or in a Fraction."""
+    for row in rows:
+        for value in row.values():
+            if isinstance(value, Fraction):
+                yield value.numerator
+                yield value.denominator
+            elif type(value) is int:
+                yield value
 
 
 def _rational(num: int, den: int) -> tuple[str, str]:
     """Both texts of the rational cell num/den (den > 0): the exact one in
     lowest terms (``num`` alone over 1) and the binary64 repr, as str() and
     float() of a Fraction give them; int true division rounds as
-    Fraction.__float__ does.
+    Fraction.__float__ does.  A text past the int-to-str limit is refused
+    as :func:`_check_digits` refuses it.
     """
     divisor = gcd(num, den)
     num, den = num // divisor, den // divisor
-    return (str(num) if den == 1 else f"{num}/{den}"), repr(num / den)
+    try:
+        text = str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:
+        _check_digits((num, den))
+        raise
+    return text, repr(num / den)
 
 
 class _Rows:
@@ -217,7 +231,7 @@ def _write_csv(rows: Iterable[dict[str, Any]], handle: TextIO) -> None:
             value = _rational(value.numerator, value.denominator)
         if type(value) is tuple:
             return ",".join(value)
-        return repr(value) if isinstance(value, float) else str(value)
+        return str(value)
 
     header: list[str] = []
     for key, value in next(iter(rows)).items():
@@ -271,10 +285,13 @@ def emit_table(rows: _Rows | Sequence[dict[str, Any]], format: str, output: str)
     :func:`_rational` returns, which the 2**n tables build once per
     distinct value from integers, or a Fraction, which is passed through
     :func:`_rational` as it is written.  Other ints, floats and strings
-    are written as scalars.
+    are written as scalars.  A list of rows is checked whole against the
+    int-to-str limit first; the 2**n tables check theirs as they are built.
     """
     if not rows:
         raise WeaverError("refusing to emit an empty table")
+    if isinstance(rows, list):
+        _check_digits(_printed_ints(rows))
     write = _write_csv if format == "csv" else _write_json
     if output == "-":
         write(rows, sys.stdout)
@@ -298,8 +315,10 @@ def _pmf_rows(args: argparse.Namespace) -> _Rows:
 def _cdf_rows(args: argparse.Namespace) -> _Rows:
     params = WeaverParams(n=args.n, p=args.p)
     resolution = args.resolution if args.resolution is not None else args.n
-    # the grid's checks run now, so a refused table writes nothing
-    exact.cdf_grid(params, resolution)
+    # the grid's checks run now, so a refused table writes nothing; every
+    # F is t / d**m with 0 <= t <= d**m, and F at 1/2**m is in lowest terms
+    _, denominator = exact.cdf_grid(params, resolution)
+    _check_digits([denominator])
     scale = 1 << resolution
 
     def rows() -> Iterator[dict[str, Any]]:
@@ -316,8 +335,18 @@ def _triangle_rows(args: argparse.Namespace) -> _Rows:
     return _Rows(size, lambda: ({"k": k, "exponent": k.bit_count()} for k in range(size)))
 
 
+#: Highest `moments --max-order`.  The moment integers grow with the order,
+#: so the work grows faster than J**2: within the int-to-str limit the
+#: slowest order-300 table (n = 47) takes 3.2-3.7 s (README "Capacity").
+_MOMENT_ORDER_CAP = 300
+
+
 def _moments_rows(args: argparse.Namespace) -> list[dict[str, Any]]:
     params = WeaverParams(n=args.n, p=args.p)
+    if args.max_order > _MOMENT_ORDER_CAP:
+        raise CapacityError(
+            f"moments of order {args.max_order} are above the order cap {_MOMENT_ORDER_CAP}"
+        )
     numerators, denominator = analysis._moment_numerators(params, args.max_order)
     support = (1 << args.n) - 1
     return [
@@ -331,7 +360,9 @@ def _moments_rows(args: argparse.Namespace) -> list[dict[str, Any]]:
 
 
 def _decompose_rows(args: argparse.Namespace) -> list[dict[str, Any]]:
-    # the fields are in column order
+    # the last denom, (2**n - 1)**2, is the widest cell: checked before any
+    # row is built.  The fields are in column order.
+    _check_digits([((1 << args.n) - 1) ** 2])
     return [vars(analysis.variance_decomposition(n, args.p)) for n in range(1, args.n + 1)]
 
 
@@ -344,6 +375,9 @@ def _sample_rows(args: argparse.Namespace) -> list[dict[str, Any]]:
 
 
 def _converge_rows(args: argparse.Namespace) -> list[dict[str, Any]]:
+    # the last ratio, (2**n + 1) / (3 * (2**n - 1)) in lowest terms, prints
+    # 2**n - 1 or more: a depth past the int-to-str limit builds no row
+    _check_digits([(1 << args.n) - 1])
     p = args.p
     bernoulli_variance = p * (1 - p)
     rows = []

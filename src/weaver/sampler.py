@@ -314,7 +314,8 @@ def monte_carlo_moments(
     against its known standard error.  Aggregation is a deterministic
     pairwise reduction in replication order.  Finite parents can still
     overflow binary64 here (huge variances); a statistic that is not
-    finite raises :class:`RangeError` instead of being reported.
+    finite raises :class:`RangeError` instead of being reported, and so
+    does a standard error that underflows to 0 (point masses at tiny p).
     """
     if replications < 100:
         raise RangeError(
@@ -330,6 +331,8 @@ def monte_carlo_moments(
     within = (float(p) * h1.variance + float(1 - p) * h0.variance) / ((1 << n) - 1)
     exact_variance = float(analysis.exact_variance(params)) + within
     standard_error = sqrt(exact_variance / replications)
+    if not standard_error:
+        raise RangeError("standard_error is 0.0: the exact variance underflows binary64")
     z_score = (empirical_mean - float(exact_mean)) / standard_error
     report = MomentReport(
         replications=replications,

@@ -282,13 +282,14 @@ class TestOtherTables:
         assert by_name["moment_2"] == variance + p**2
 
     def test_moments_high_order(self, capsys):
-        # order 200 from one pass, against the 8 leaves summed directly
-        _, out, _ = run_cli(capsys, "moments", "--n", "3", "--p", "1/2", "--max-order", "200")
+        # order 300, the cap, from one pass, against the 8 leaves summed directly
+        assert cli._MOMENT_ORDER_CAP == 300
+        _, out, _ = run_cli(capsys, "moments", "--n", "3", "--p", "1/2", "--max-order", "300")
         by_name = {row["statistic"]: row for row in csv_rows(out)}
-        moment = sum(Fraction(k, 7) ** 200 for k in range(8)) / 8
-        assert by_name["moment_200"]["value_exact"] == str(moment)
-        assert by_name["moment_200"]["value_approx"] == repr(float(moment))
-        assert len(by_name) == 203
+        moment = sum(Fraction(k, 7) ** 300 for k in range(8)) / 8
+        assert by_name["moment_300"]["value_exact"] == str(moment)
+        assert by_name["moment_300"]["value_approx"] == repr(float(moment))
+        assert len(by_name) == 303
 
     def test_decompose_table(self, capsys):
         _, out, _ = run_cli(capsys, "decompose", "--n", "5")
@@ -418,6 +419,27 @@ class TestUsageErrors:
             f"{self._USAGE}weaver sample: error: argument --parents: {message}\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("--parents", "gauss:0,-1;gauss:1,1", "--reps", "0"),
+                "argument --parents: variance must be non-negative, got -1.0",
+            ),
+            (
+                ("--reps", "0", "--parents", "gauss:0,-1;gauss:1,1"),
+                "argument --reps: expected a positive integer, got 0",
+            ),
+        ],
+    )
+    def test_first_error_in_argv_order(self, capsys, argv, message):
+        # argparse builds the parents as it converts --parents, so a spec
+        # its family rejects is reported where it stands in argv
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["sample", "--n", "4", "--p", "1/2", *argv])
+        assert excinfo.value.code == 1
+        assert capsys.readouterr().err.endswith(f"weaver sample: error: {message}\n")
+
     def test_probability_range_message_shared_with_params(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["pmf", "--n", "3", "--p", "1.25"])
@@ -479,6 +501,17 @@ class TestRuntimeErrors:
         assert err.count("\n") == 1
         assert err.startswith("weaver: error: empirical_variance is inf")
 
+    def test_vanishing_standard_error_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "sample", "--n", "3", "--reps", "100", "--p", "1e-400")
+        assert (code, out) == (2, "")
+        assert err == "weaver: error: standard_error is 0.0: the exact variance underflows binary64\n"
+
+    def test_moment_order_above_the_cap(self, capsys):
+        # TestOtherTables::test_moments_high_order runs at the cap
+        code, out, err = run_cli(capsys, "moments", "--n", "1", "--p", "1/2", "--max-order", "301")
+        assert (code, out) == (2, "")
+        assert err == "weaver: error: moments of order 301 are above the order cap 300\n"
+
     def test_unwritable_output_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "pmf", "--n", "2", "--p", "1/2",
@@ -486,6 +519,88 @@ class TestRuntimeErrors:
         )
         assert code == 2
         assert "i/o error" in err
+
+
+def _tiny(zeros: int) -> str:
+    """p = 1/10**zeros as the CLI reads it: a denominator of zeros + 1 digits."""
+    return "1/1" + "0" * zeros
+
+
+def _argv_id(value):
+    if not isinstance(value, tuple):
+        return str(value)
+    return " ".join(a if len(a) < 20 else f"<{len(a)} chars>" for a in value)
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's int-to-str limit at its default, 4300 digits, whatever the
+    environment sets (PYTHONINTMAXSTRDIGITS)."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+class TestDigitLimit:
+    """A table whose exact cells need an int longer than the int-to-str
+    limit is refused before its first byte: exit 2, one stderr line, no
+    stdout and no output file.  Each case is one step past its bound."""
+
+    MESSAGE = (
+        "weaver: error: a table cell needs an integer of more than 4300 digits, "
+        "above Python's int-to-str limit (PYTHONINTMAXSTRDIGITS raises it)\n"
+    )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # d**n, the masses' denominator, reaches 4301 digits (d = 10**1434, n = 3)
+            ("pmf", "--n", "3", "--p", _tiny(1434)),
+            ("cdf", "--n", "4", "--resolution", "3", "--p", _tiny(1434)),
+            # the densities reduce by 2**n: 10**4302 / 4 has 4301 digits
+            ("density", "--n", "2", "--p", _tiny(2151)),
+            # p * (1 - p) at depth 1 has the denominator d**2
+            ("converge", "--n", "1", "--p", _tiny(2150)),
+            ("moments", "--n", "1", "--max-order", "1", "--p", _tiny(2150)),
+            # the highest moment, in lowest terms
+            ("moments", "--n", "4758", "--p", "3/7"),
+            ("moments", "--n", "500", "--p", "3/7", "--max-order", "30"),
+            # the last denom, (2**n - 1)**2
+            ("decompose", "--n", "7143"),
+            # every converge ratio prints 2**n - 1 or more
+            ("converge", "--n", "14285", "--p", "1/2"),
+            ("sample", "--n", "3", "--p", "1e-4300", "--reps", "100",
+             "--parents", "gauss:0,1;gauss:1,1"),
+        ],
+        ids=_argv_id,
+    )
+    def test_refused_before_the_first_byte(self, capsys, tmp_path, digit_limit, argv):
+        assert run_cli(capsys, *argv) == (2, "", self.MESSAGE)
+        target = tmp_path / "table"
+        assert run_cli(capsys, *argv, "--output", str(target)) == (2, "", self.MESSAGE)
+        assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "argv, longest",
+        [
+            (("pmf", "--n", "3", "--p", _tiny(1433)), 4300),
+            (("cdf", "--n", "4", "--resolution", "3", "--p", _tiny(1433)), 4300),
+            (("density", "--n", "2", "--p", _tiny(2150)), 4300),
+            (("converge", "--n", "1", "--p", _tiny(2149)), 4299),
+            (("moments", "--n", "1", "--max-order", "1", "--p", _tiny(2149)), 4299),
+            (("moments", "--n", "4757", "--p", "3/7"), 4300),
+            (("moments", "--n", "500", "--p", "3/7", "--max-order", "29"), 4235),
+            (("sample", "--n", "3", "--p", "1e-4299", "--reps", "100",
+              "--parents", "gauss:0,1;gauss:1,1"), 4300),
+        ],
+        ids=_argv_id,
+    )
+    def test_at_the_bound(self, capsys, digit_limit, argv, longest):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        cells = out.replace("/", ",").replace("\n", ",").split(",")
+        assert max(len(cell.lstrip("-")) for cell in cells) == longest
 
 
 class TestCapOverride:
@@ -524,7 +639,7 @@ class TestFileOutput:
 # are usage errors
 _FLAG_VALUES = {
     "--n": (["1", "2", "3", "7", "9"], ["0", "-1", "x", ""]),
-    "--p": (["1/2", "2/3", "0.3", "1e-9"], ["0", "1", "5/4", "-1/2", "1/0", "abc", "nan", "inf"]),
+    "--p": (["1/2", "2/3", "0.3", "1e-9", "1e-400"], ["0", "1", "5/4", "-1/2", "1/0", "abc", "nan", "inf"]),
     "--resolution": (["1", "2", "5"], ["0", "-1", "x"]),
     "--max-order": (["1", "3"], ["0", "x"]),
     "--parents": (

@@ -268,6 +268,12 @@ class TestMonteCarlo:
         with pytest.raises(RangeError, match="empirical_variance is inf"):
             sampler.monte_carlo_moments(3, h0, h1, Fraction(1, 2), 100, seed=0)
 
+    def test_vanishing_standard_error_rejected(self):
+        # point masses leave only the conditional variance, which is below
+        # binary64's range at p = 10**-400, so no z-score exists
+        with pytest.raises(RangeError, match="standard_error is 0.0"):
+            sampler.monte_carlo_moments(3, *STANDARD, Fraction(1, 10**400), 100, seed=0)
+
     def test_mean_ensemble_reproducible(self):
         a = sampler.simulate_mean_ensemble(5, *STANDARD, Fraction(1, 3), 50, seed=8)
         b = sampler.simulate_mean_ensemble(5, *STANDARD, Fraction(1, 3), 50, seed=8)

@@ -1,9 +1,11 @@
 """Command-line front end: exact tables and Monte Carlo reports as CSV or JSON.
 
-Every table carries each rational quantity twice, as an exact fraction
-string and as a binary64 approximation: the exact column feeds tests and
-round-trips, the approximate one feeds plots.  Identical invocations
-(including the seed) produce byte-identical output.
+Every table declares its columns before its rows, each column scalar or
+rational.  A rational is written twice, as an exact fraction string and
+as a binary64 approximation: the exact column feeds tests and
+round-trips, the approximate one feeds plots.  Each row is a tuple of
+cell texts, written through one row template per table.  Identical
+invocations (including the seed) produce byte-identical output.
 
 Exit status: 0 on success, 1 on a usage error, 2 on a runtime, capacity,
 or I/O error.
@@ -16,7 +18,7 @@ import json
 import sys
 from fractions import Fraction
 from math import gcd
-from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Any, Iterable, Iterator, Sequence, TextIO
 
 # the sampler side (weaver.parents, weaver.sampler) loads numpy, so only
 # a `sample` run imports it, when argparse converts its --parents
@@ -182,17 +184,6 @@ def _check_digits(values: Iterable[int]) -> None:
         )
 
 
-def _printed_ints(rows: Iterable[dict[str, Any]]) -> Iterator[int]:
-    """Every int that the rows print, alone or in a Fraction."""
-    for row in rows:
-        for value in row.values():
-            if isinstance(value, Fraction):
-                yield value.numerator
-                yield value.denominator
-            elif type(value) is int:
-                yield value
-
-
 def _rational(num: int, den: int) -> tuple[str, str]:
     """Both texts of the rational cell num/den (den > 0): the exact one in
     lowest terms (``num`` alone over 1) and the binary64 repr, as str() and
@@ -210,129 +201,136 @@ def _rational(num: int, den: int) -> tuple[str, str]:
     return text, repr(num / den)
 
 
-class _Rows:
-    """A table built row by row as it is written: ``len()`` is its row
-    count, and every ``iter()`` builds fresh rows from ``build()``."""
+#: A table's columns: each name with whether it is rational.
+_Columns = Sequence[tuple[str, bool]]
 
-    def __init__(self, count: int, build: Callable[[], Iterator[dict[str, Any]]]) -> None:
+
+class _Table:
+    """A table as the writers take it: its ``columns``, declared before
+    any row, ``len()`` rows, and one pass over them by ``iter()``.
+
+    A row is a tuple of cell texts, already rendered: one text per scalar
+    column and two per rational column, the exact and approx texts of
+    :func:`_rational`.  The 2**n tables pass a generator, so each row is
+    built as it is written and the table can be read once.
+    """
+
+    def __init__(self, columns: _Columns, count: int, rows: Iterable[tuple[str, ...]]) -> None:
+        self.columns = columns
         self._count = count
-        self._build = build
+        self._rows = rows
 
     def __len__(self) -> int:
         return self._count
 
-    def __iter__(self) -> Iterator[dict[str, Any]]:
-        return self._build()
+    def __iter__(self) -> Iterator[tuple[str, ...]]:
+        return iter(self._rows)
 
 
-def _write_csv(rows: Iterable[dict[str, Any]], handle: TextIO) -> None:
-    def render(value: Any) -> str:
-        if isinstance(value, Fraction):
-            value = _rational(value.numerator, value.denominator)
-        if type(value) is tuple:
-            return ",".join(value)
-        return str(value)
-
-    header: list[str] = []
-    for key, value in next(iter(rows)).items():
-        rational = isinstance(value, (tuple, Fraction))
-        header.extend([f"{key}_exact", f"{key}_approx"] if rational else [key])
-    write = handle.write
-    write(",".join(header) + "\n")
+def _listed(rows: list[dict[str, Any]], format: str) -> _Table:
+    """A small list table with its cells rendered for ``format``: each
+    Fraction through :func:`_rational`, which refuses a text past the
+    int-to-str limit, and any other value through str() in CSV or
+    json.dumps() in JSON.  The columns are the first row's keys."""
+    scalar = str if format == "csv" else json.dumps
+    texts = []
     for row in rows:
-        write(",".join([str(v) if type(v) is int else render(v) for v in row.values()]) + "\n")
+        cells: list[str] = []
+        for value in row.values():
+            if isinstance(value, Fraction):
+                cells += _rational(value.numerator, value.denominator)
+            else:
+                cells.append(scalar(value))
+        texts.append(tuple(cells))
+    columns = [(key, isinstance(value, Fraction)) for key, value in rows[0].items()]
+    return _Table(columns, len(texts), texts)
 
 
-def _write_json(rows: Iterable[dict[str, Any]], handle: TextIO) -> None:
-    # laid out by hand exactly as json.dumps(rows, indent=2) would, with
-    # each rational as an {"exact", "approx"} object; json encodes an
-    # exact int through int.__repr__ and a finite float through
-    # float.__repr__, and an exact text (digits, '-', '/') needs no escape
-    prefixes: dict[str, str] = {}
-
-    def render(value: Any) -> str:
-        if isinstance(value, Fraction):
-            value = _rational(value.numerator, value.denominator)
-        if type(value) is tuple:
-            return f'{{\n      "exact": "{value[0]}",\n      "approx": {value[1]}\n    }}'
-        return json.dumps(value)
-
-    write = handle.write
-    separator = "[\n"
-    for row in rows:
-        body = ",\n".join(
-            [
-                (prefixes.get(k) or prefixes.setdefault(k, f"    {json.dumps(k)}: "))
-                + (str(v) if type(v) is int else render(v))
-                for k, v in row.items()
-            ]
-        )
-        write(f"{separator}  {{\n{body}\n  }}")
-        separator = ",\n"
-    write("\n]\n")
+def _csv_layout(columns: _Columns) -> tuple[str, str, str, str]:
+    header = [f"{name}_exact,{name}_approx" if rational else name for name, rational in columns]
+    template = ",".join(["%s,%s" if rational else "%s" for _, rational in columns])
+    return ",".join(header) + "\n", template, "\n", "\n"
 
 
-def emit_table(rows: _Rows | Sequence[dict[str, Any]], format: str, output: str) -> int:
-    """Write rows as CSV or JSON to a path or stdout, one row at a time.
+def _json_layout(columns: _Columns) -> tuple[str, str, str, str]:
+    # laid out exactly as json.dumps(rows, indent=2) would, with each
+    # rational as an {"exact", "approx"} object; json writes an int as
+    # str() does and a finite float as repr() does, and an exact text
+    # (digits, '-', '/') needs no escape
+    rational = '{\n      "exact": "%s",\n      "approx": %s\n    }'
+    fields = [
+        f"    {json.dumps(name).replace('%', '%%')}: {rational if is_rational else '%s'}"
+        for name, is_rational in columns
+    ]
+    return "[\n", "  {\n" + ",\n".join(fields) + "\n  }", ",\n", "\n]\n"
 
-    ``rows`` is sized and iterable twice: the header is read from the
-    first row, then every row is written.  The 2**n tables pass a
-    :class:`_Rows`, so no more than one of their rows is held at once.
 
-    Every rational appears twice: as an exact fraction string and as a
-    binary64 approximation (two CSV columns, or an {"exact", "approx"}
-    JSON object).  A rational cell is either the pair of texts that
-    :func:`_rational` returns, which the 2**n tables build once per
-    distinct value from integers, or a Fraction, which is passed through
-    :func:`_rational` as it is written.  Other ints, floats and strings
-    are written as scalars.  A list of rows is checked whole against the
-    int-to-str limit first; the 2**n tables check theirs as they are built.
+def _write(table: _Table, layout: tuple[str, str, str, str], handle: TextIO) -> None:
+    """Write the layout's head, its template % row for every row, with its
+    separator between rows, and its tail."""
+    head, template, separator, tail = layout
+    rows = iter(table)
+    handle.write(head + template % next(rows))
+    handle.writelines(map((separator + template).__mod__, rows))
+    handle.write(tail)
+
+
+def emit_table(table: _Table | list[dict[str, Any]], format: str, output: str) -> int:
+    """Write a table as CSV or JSON to a path or stdout, one row at a time.
+
+    ``len(table)`` is its number of data rows.  The 2**n tables pass a
+    :class:`_Table`, whose rows are built as they are written, and check
+    the int-to-str limit before they return.  The small tables pass a
+    list of dict rows, which :func:`_listed` renders for ``format`` before
+    the output is opened, so a cell past the limit is refused before the
+    first byte.  The columns give one row template per table (see
+    :func:`_csv_layout` and :func:`_json_layout`); every rational appears
+    twice, as an exact fraction string and a binary64 approximation (two
+    CSV columns, or an {"exact", "approx"} JSON object).
     """
-    if not rows:
+    if not table:
         raise WeaverError("refusing to emit an empty table")
-    if isinstance(rows, list):
-        _check_digits(_printed_ints(rows))
-    write = _write_csv if format == "csv" else _write_json
+    if isinstance(table, list):
+        table = _listed(table, format)
+    layout = (_csv_layout if format == "csv" else _json_layout)(table.columns)
     if output == "-":
-        write(rows, sys.stdout)
+        _write(table, layout, sys.stdout)
     else:
         with open(output, "w", encoding="utf-8", newline="") as handle:
-            write(rows, handle)
+            _write(table, layout, handle)
     return 0
 
 
-def _pmf_rows(args: argparse.Namespace) -> _Rows:
+def _pmf_rows(args: argparse.Namespace) -> _Table:
     exact._check_cap(args.n, "pmf vector")
     numerators, denominator = exact._mass_numerators(args.p, args.n)
     heights = [_rational(w, denominator) for w in numerators]
     support = (1 << args.n) - 1
-    return _Rows(support + 1, lambda: (
-        {"k": k, "y": _rational(k, support), "p": heights[k.bit_count()]}
-        for k in range(support + 1)
+    return _Table([("k", False), ("y", True), ("p", True)], support + 1, (
+        (str(k), *_rational(k, support), *heights[k.bit_count()]) for k in range(support + 1)
     ))
 
 
-def _cdf_rows(args: argparse.Namespace) -> _Rows:
+def _cdf_rows(args: argparse.Namespace) -> _Table:
     params = WeaverParams(n=args.n, p=args.p)
     resolution = args.resolution if args.resolution is not None else args.n
-    # the grid's checks run now, so a refused table writes nothing; every
-    # F is t / d**m with 0 <= t <= d**m, and F at 1/2**m is in lowest terms
-    _, denominator = exact.cdf_grid(params, resolution)
+    # the grid's checks run at this call, so a refused table writes
+    # nothing, and its iterator feeds the rows; every F is t / d**m with
+    # 0 <= t <= d**m, and F at 1/2**m is in lowest terms
+    sums, denominator = exact.cdf_grid(params, resolution)
     _check_digits([denominator])
     scale = 1 << resolution
-
-    def rows() -> Iterator[dict[str, Any]]:
-        sums, denominator = exact.cdf_grid(params, resolution)
-        for k, total in enumerate(sums):
-            yield {"k": k, "v": _rational(k, scale), "F": _rational(total, denominator)}
-
-    return _Rows(scale + 1, rows)
+    return _Table([("k", False), ("v", True), ("F", True)], scale + 1, (
+        (str(k), *_rational(k, scale), *_rational(total, denominator))
+        for k, total in enumerate(sums)
+    ))
 
 
-def _triangle_rows(args: argparse.Namespace) -> _Rows:
+def _triangle_rows(args: argparse.Namespace) -> _Table:
     exact._check_cap(args.n, "triangle row")
     size = 1 << args.n
-    return _Rows(size, lambda: ({"k": k, "exponent": k.bit_count()} for k in range(size)))
+    rows = ((str(k), str(k.bit_count())) for k in range(size))
+    return _Table([("k", False), ("exponent", False)], size, rows)
 
 
 #: Highest `moments --max-order`.  The moment integers grow with the order,
@@ -354,7 +352,7 @@ def _moments_rows(args: argparse.Namespace) -> list[dict[str, Any]]:
         {"statistic": "variance", "value": analysis.exact_variance(params)},
         {"statistic": "limit_variance", "value": analysis.limit_variance(args.p)},
     ] + [
-        {"statistic": f"moment_{j}", "value": _rational(numerators[j], denominator * support**j)}
+        {"statistic": f"moment_{j}", "value": Fraction(numerators[j], denominator * support**j)}
         for j in range(1, args.max_order + 1)
     ]
 
@@ -387,20 +385,20 @@ def _converge_rows(args: argparse.Namespace) -> list[dict[str, Any]]:
     return rows
 
 
-def _density_rows(args: argparse.Namespace) -> _Rows:
+def _density_rows(args: argparse.Namespace) -> _Table:
     exact._check_cap(args.n, "pmf vector")
     numerators, denominator = exact._mass_numerators(args.p, args.n)
     densities = [_rational(w << args.n, denominator) for w in numerators]
     scale = 1 << args.n
 
-    def rows() -> Iterator[dict[str, Any]]:
+    def rows() -> Iterator[tuple[str, ...]]:
         right = _rational(0, scale)
         for k in range(scale):
             # each edge is rendered once: cell k's right is cell k+1's left
             left, right = right, _rational(k + 1, scale)
-            yield {"k": k, "left": left, "right": right, "density": densities[k.bit_count()]}
+            yield (str(k), *left, *right, *densities[k.bit_count()])
 
-    return _Rows(scale, rows)
+    return _Table([("k", False), ("left", True), ("right", True), ("density", True)], scale, rows())
 
 
 _ROW_BUILDERS = {

@@ -70,6 +70,46 @@ def _render_json(rows: list[dict[str, Any]]) -> str:
 ORACLES = {"csv": _render_csv, "json": _render_json}
 
 
+# The rows of each 2**n table from the library's independent functions:
+# the point queries, the halving cascade and the doubling recursion, none
+# of which the CLI calls.
+def _pmf_oracle(args) -> list[dict[str, Any]]:
+    params = WeaverParams(n=args.n, p=args.p)
+    return [
+        {"k": k, "y": exact.realization_value(k, args.n), "p": exact.pmf_point(k, params)}
+        for k in range(1 << args.n)
+    ]
+
+
+def _cdf_oracle(args) -> list[dict[str, Any]]:
+    params = WeaverParams(n=args.n, p=args.p)
+    m = args.n if args.resolution is None else args.resolution
+    return [
+        {"k": k, "v": Fraction(k, 1 << m), "F": exact.cdf_at_dyadic(exact.DyadicPoint(k, m), params)}
+        for k in range((1 << m) + 1)
+    ]
+
+
+def _density_oracle(args) -> list[dict[str, Any]]:
+    scale = 1 << args.n
+    return [
+        {"k": k, "left": Fraction(k, scale), "right": Fraction(k + 1, scale), "density": scale * mass}
+        for k, mass in enumerate(analysis.pmodel_cell_masses(args.n, args.p))
+    ]
+
+
+def _triangle_oracle(args) -> list[dict[str, Any]]:
+    return [{"k": k, "exponent": e} for k, e in enumerate(exact.geometric_triangle_row(args.n))]
+
+
+ORACLE_ROWS = {
+    "pmf": _pmf_oracle,
+    "cdf": _cdf_oracle,
+    "density": _density_oracle,
+    "triangle": _triangle_oracle,
+}
+
+
 class TestRendering:
     COMMANDS = [
         ("pmf", "--n", "3", "--p", "2/3"),
@@ -85,18 +125,17 @@ class TestRendering:
         ("density", "--n", "3", "--p", "7/10"),
         ("pmf", "--n", "5", "--p", "2/3"),
         ("density", "--n", "4", "--p", "7/10"),
+        # gcd(k, 2**n - 1) > 1 for many k: 63 = 3**2 * 7, 4095 = 3**2 * 5 * 7 * 13
+        ("pmf", "--n", "6", "--p", "3/7"),
+        ("pmf", "--n", "12", "--p", "2/3"),
     ]
 
     @staticmethod
     def expected(argv, format):
+        # the 2**n tables from their oracle rows; the small list tables are
+        # dict rows already, so for them the renderers check the layout
         args = cli.parse_config(list(argv))
-        rows = cli._ROW_BUILDERS[args.command](args)
-        # a rational cell built from integers holds its (exact, approx)
-        # texts; the oracle renders the Fraction of the exact text, so the
-        # approx text is checked against it too
-        rows = [
-            {k: Fraction(v[0]) if type(v) is tuple else v for k, v in row.items()} for row in rows
-        ]
+        rows = ORACLE_ROWS.get(args.command, cli._ROW_BUILDERS[args.command])(args)
         return ORACLES[format](rows)
 
     @pytest.mark.parametrize("format", ["csv", "json"])
@@ -130,7 +169,9 @@ class TestRendering:
 
 
 class TestRowView:
-    """The 2**n tables are sized views whose rows are built afresh on every pass."""
+    """A 2**n table is sized, declares its columns, and yields each row as
+    a tuple of cell texts: one per scalar column, exact and approx per
+    rational one."""
 
     @pytest.mark.parametrize(
         "argv, count",
@@ -144,11 +185,15 @@ class TestRowView:
     )
     def test_sized_and_reiterable(self, argv, count):
         args = cli.parse_config(list(argv))
-        rows = cli._ROW_BUILDERS[args.command](args)
-        first = list(rows)
-        assert len(rows) == len(first) == count
-        assert list(rows) == first
-        assert first[0] is not next(iter(rows))  # a fresh row, not a stored one
+        table = cli._ROW_BUILDERS[args.command](args)
+        oracle = ORACLE_ROWS[args.command](args)
+        assert len(table) == len(oracle) == count
+        assert list(table.columns) == [
+            (key, isinstance(value, Fraction)) for key, value in oracle[0].items()
+        ]
+        assert list(table) == [
+            tuple(text for value in row.values() for _, text in _cell(value)) for row in oracle
+        ]
 
 
 class TestNoStoredRow:
@@ -251,6 +296,24 @@ class TestCdfCommand:
         _, out, _ = run_cli(capsys, "cdf", "--n", "6", "--p", "1/3", "--resolution", "1")
         rows = csv_rows(out)
         assert [row["F_exact"] for row in rows] == ["0", "2/3", "1"]
+
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    def test_one_grid_per_table(self, capsys, monkeypatch, format):
+        # the grid's checks and the rows share one call; no header pass
+        calls = []
+        grid = exact.cdf_grid
+
+        def counted(*args):
+            calls.append(args)
+            return grid(*args)
+
+        monkeypatch.setattr(exact, "cdf_grid", counted)
+        argv = ("cdf", "--n", "5", "--p", "1/3", "--resolution", "4", "--format", format)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert run_cli(capsys, *argv) == (0, out, "")
 
 
 class TestOtherTables:
@@ -769,3 +832,39 @@ class TestReferenceDigests:
         code, out, _ = run_cli(capsys, *command.split(), "--output", str(target))
         assert (code, out) == (0, "")
         assert hashlib.sha256(target.read_bytes()).hexdigest() == self.DIGESTS[command]
+
+
+class TestSecondDepthDigests:
+    """SHA-256 of four 2**n tables at a second depth, in both formats.
+    The digests were captured at commit c769f59, whose writers still
+    rendered each cell by its type, before the tables declared columns
+    and wrote text rows through one template."""
+
+    DIGESTS = {
+        ("pmf --n 12 --p 2/3", "csv"):
+            "ffec29e902f2305ef92f4ba24c35a6571273514e15d17e3c303e92b885c082c9",
+        ("pmf --n 12 --p 2/3", "json"):
+            "f0f0cdd2d050b18ccdd2d74ffe496bcfb82b956d384918d0dad248cbacc5742a",
+        ("density --n 12 --p 7/10", "csv"):
+            "e26283c8d1ae7c892de749cf48092276ad9d19b453be3c94c63fa29493c2019c",
+        ("density --n 12 --p 7/10", "json"):
+            "1508ee355f696e1d1e3ba99621232b167d5a9007e234b7159660f6d3fd9b2ec5",
+        ("cdf --n 14 --p 1/3 --resolution 12", "csv"):
+            "f21e940f57d816fdfa4360eb4c17b2a7e9a630ba51c1ed5c00be8acace002da2",
+        ("cdf --n 14 --p 1/3 --resolution 12", "json"):
+            "ca10eb25e0e963ea3d02b3cf240e03fdf68a1f89c2f088e1cb631fe95d3c3de0",
+        ("triangle --n 12", "csv"):
+            "cfb5004d4ae28807ef4ec2b39a731b30add6b251dfb903effa92f8ce7b1b1ea8",
+        ("triangle --n 12", "json"):
+            "2915a7b14416aa9067580ef862f12d1c7bf368c25911cc1b9b3a0169643f408b",
+    }
+
+    @pytest.mark.parametrize("command, format", list(DIGESTS), ids="{0[0]}-{0[1]}".format)
+    def test_table_matches_digest(self, capsys, tmp_path, command, format):
+        target = tmp_path / "table"
+        code, out, _ = run_cli(
+            capsys, *command.split(), "--format", format, "--output", str(target)
+        )
+        assert (code, out) == (0, "")
+        digest = hashlib.sha256(target.read_bytes()).hexdigest()
+        assert digest == self.DIGESTS[command, format]

@@ -101,17 +101,17 @@ def exact_moment(params: WeaverParams, j: int) -> Fraction:
     return Fraction(numerators[j], denominator * ((1 << params.n) - 1) ** j)
 
 
-def variance_decomposition(n: int, p: Fraction | str | float) -> DecompositionRow:
+def variance_decomposition(n: int) -> DecompositionRow:
     """Split the Bernoulli variance p*(1-p) between weaving and merging.
 
     Over the common denominator (2**n - 1)**2, the weaving part is
     (4**n - 1)/3 (the diagonal of the block covariance table) and the
     merging part is 2*(4**n - 3*2**n + 2)/3 (everything off the
-    diagonal); the two add up to the denominator exactly.
+    diagonal); the two add up to the denominator exactly.  The split is
+    the same for every p.
     """
     if n < 1:
         raise RangeError(f"n must be positive, got {n}")
-    _check_probability(p)
     denom = ((1 << n) - 1) ** 2
     weaving = ((1 << 2 * n) - 1) // 3
     merging = 2 * ((1 << 2 * n) - 3 * (1 << n) + 2) // 3

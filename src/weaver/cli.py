@@ -109,7 +109,10 @@ def _non_negative_int(text: str) -> int:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="weaver", description=__doc__)
+    parser = _Parser(
+        prog="weaver",
+        description="Exact tables and Monte Carlo reports of the weaving cascade W(n, p).",
+    )
     commands = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, help_text: str) -> argparse.ArgumentParser:
@@ -142,7 +145,6 @@ def build_parser() -> _Parser:
 
     sub = add("decompose", "weaving/merging variance split for depths 1..n")
     sub.add_argument("--n", type=_positive_int, required=True)
-    sub.add_argument("--p", type=_parse_probability, default=Fraction(1, 2))
 
     sub = add("sample", "Monte Carlo moment report for exponential sampling")
     sub.add_argument("--n", type=_positive_int, required=True)
@@ -361,7 +363,7 @@ def _decompose_rows(args: argparse.Namespace) -> list[dict[str, Any]]:
     # the last denom, (2**n - 1)**2, is the widest cell: checked before any
     # row is built.  The fields are in column order.
     _check_digits([((1 << args.n) - 1) ** 2])
-    return [vars(analysis.variance_decomposition(n, args.p)) for n in range(1, args.n + 1)]
+    return [vars(analysis.variance_decomposition(n)) for n in range(1, args.n + 1)]
 
 
 def _sample_rows(args: argparse.Namespace) -> list[dict[str, Any]]:
@@ -373,16 +375,17 @@ def _sample_rows(args: argparse.Namespace) -> list[dict[str, Any]]:
 
 
 def _converge_rows(args: argparse.Namespace) -> list[dict[str, Any]]:
-    # the last ratio, (2**n + 1) / (3 * (2**n - 1)) in lowest terms, prints
-    # 2**n - 1 or more: a depth past the int-to-str limit builds no row
-    _check_digits([(1 << args.n) - 1])
-    p = args.p
-    bernoulli_variance = p * (1 - p)
-    rows = []
-    for n in range(1, args.n + 1):
-        variance = analysis.exact_variance(WeaverParams(n=n, p=p))
-        rows.append({"n": n, "variance": variance, "ratio": variance / bernoulli_variance})
-    return rows
+    bernoulli_variance = args.p * (1 - args.p)
+
+    def row(n: int) -> dict[str, Any]:
+        variance = analysis.exact_variance(WeaverParams(n=n, p=args.p))
+        return {"n": n, "variance": variance, "ratio": variance / bernoulli_variance}
+
+    # the cells widen with n: rendering the last row first refuses a depth
+    # past the int-to-str limit before any other row is built
+    last = row(args.n)
+    _listed([last], args.format)
+    return [row(n) for n in range(1, args.n)] + [last]
 
 
 def _density_rows(args: argparse.Namespace) -> _Table:

@@ -108,7 +108,7 @@ def test_criterion_04_decomposition_table():
             (6, 3969, 1365, 0.34, 0.66),
         ]
         for n, denom, weaving, weaving_2dp, merging_2dp in expected:
-            row = analysis.variance_decomposition(n, Fraction(1, 2))
+            row = analysis.variance_decomposition(n)
             assert row.denom == denom  # n=5 reads 961 = 31**2, not the misprinted 931
             assert row.weaving == weaving
             assert row.merging == denom - weaving

@@ -104,12 +104,12 @@ class TestDecomposition:
 
     @pytest.mark.parametrize("n,denom,weaving,merging", TABLE)
     def test_integer_skeleton(self, n, denom, weaving, merging):
-        row = analysis.variance_decomposition(n, Fraction(1, 2))
+        row = analysis.variance_decomposition(n)
         assert (row.denom, row.weaving, row.merging) == (denom, weaving, merging)
 
-    @given(n=st.integers(min_value=1, max_value=40), p=probabilities)
-    def test_split_is_exhaustive(self, n, p):
-        row = analysis.variance_decomposition(n, p)
+    @given(n=st.integers(min_value=1, max_value=40))
+    def test_split_is_exhaustive(self, n):
+        row = analysis.variance_decomposition(n)
         assert row.weaving + row.merging == row.denom
         assert row.denom == ((1 << n) - 1) ** 2
         assert row.weaving_share + row.merging_share == 1
@@ -117,13 +117,13 @@ class TestDecomposition:
     @given(n=st.integers(min_value=1, max_value=40))
     def test_weaving_is_the_diagonal_sum(self, n):
         # trace of the block-size matrix: 1 + 4 + ... + 4**(n-1)
-        row = analysis.variance_decomposition(n, Fraction(1, 2))
+        row = analysis.variance_decomposition(n)
         assert row.weaving == sum(4 ** (j - 1) for j in range(1, n + 1))
 
     @given(n=depths, p=probabilities)
     def test_shares_scale_bernoulli_variance(self, n, p):
         # variance of conditional means + expected conditional variance = p(1-p)
-        row = analysis.variance_decomposition(n, p)
+        row = analysis.variance_decomposition(n)
         params = WeaverParams(n=n, p=p)
         bernoulli = p * (1 - p)
         assert row.weaving_share * bernoulli == analysis.exact_variance(params)
@@ -138,7 +138,7 @@ class TestDecomposition:
         assert row.merging_share * bernoulli == expected_conditional
 
     def test_share_limits(self):
-        row = analysis.variance_decomposition(60, Fraction(1, 2))
+        row = analysis.variance_decomposition(60)
         assert abs(row.weaving_share - Fraction(1, 3)) < Fraction(1, 10**17)
         assert abs(row.merging_share - Fraction(2, 3)) < Fraction(1, 10**17)
 

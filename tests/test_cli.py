@@ -426,6 +426,16 @@ class TestSampleCommand:
         assert "error" in err
 
 
+class TestHelp:
+    def test_help_leaves_out_the_module_notes(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["--help"])
+        assert excinfo.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())  # argparse refolds lines
+        for line in cli.__doc__.splitlines()[1:]:
+            assert not line.strip() or " ".join(line.split()) not in text
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -439,6 +449,7 @@ class TestUsageErrors:
             ("no-such-command",),
             ("sample", "--n", "4", "--p", "1/2", "--seed", "-1"),
             ("sample", "--n", "4", "--p", "1/2", "--parents", "gauss:0,nan;gauss:1,1"),
+            ("decompose", "--n", "6", "--p", "2/3"),  # the split does not depend on p
         ],
     )
     def test_exit_1(self, capsys, argv):
@@ -644,6 +655,21 @@ class TestDigitLimit:
         assert run_cli(capsys, *argv, "--output", str(target)) == (2, "", self.MESSAGE)
         assert not target.exists()
 
+    def test_converge_refused_from_its_last_row(self, capsys, tmp_path, digit_limit, monkeypatch):
+        # 2**n - 1 still fits at depth 14282; the last row's variance cell does not
+        calls = []
+        variance = analysis.exact_variance
+        monkeypatch.setattr(
+            analysis, "exact_variance", lambda params: calls.append(params) or variance(params)
+        )
+        target = tmp_path / "table"
+        for output in ("-", str(target)):
+            calls.clear()
+            argv = ("converge", "--n", "14282", "--p", "1/2", "--output", output)
+            assert run_cli(capsys, *argv) == (2, "", self.MESSAGE)
+            assert len(calls) <= 1
+        assert not target.exists()
+
     @pytest.mark.parametrize(
         "argv, longest",
         [
@@ -726,7 +752,7 @@ _COMMAND_FLAGS = {
     "cdf": ["--n", "--p", "--resolution"],
     "triangle": ["--n"],
     "moments": ["--n", "--p", "--max-order"],
-    "decompose": ["--n", "--p"],
+    "decompose": ["--n"],
     "sample": ["--n", "--p", "--parents", "--reps", "--seed"],
     "converge": ["--n", "--p"],
     "density": ["--n", "--p"],

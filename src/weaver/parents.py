@@ -3,15 +3,21 @@
 Four finite-variance families are supported: point masses, Bernoulli,
 uniform intervals, and Gaussians.  Each family is one table entry: its
 closed-form mean and variance, raw draws, and block sums drawn from its
-sufficient statistic.  A distribution carries an optional affine
-wrapping so that the standardizing transform stays inside the type.
+sufficient statistic.  Uniform block sums have none and add up raw
+draws; a deep stream of them is drawn in up to two contiguous spans at
+once, each from its jump-ahead offset in the stream, with the same
+doubles and sums whatever the number of threads.  A distribution
+carries an optional affine wrapping so that the standardizing transform
+stays inside the type.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -26,27 +32,85 @@ UNIFORM_SLAB = 1 << 17
 STANDARDIZATION_TOL = 1e-12
 
 
+def _span_count(slabs: int) -> int:
+    # spans drawn at once: at most two, one per CPU available, one per slab
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return min(2, cpus, slabs)
+
+
+def _slab_pieces(
+    rng: np.random.Generator, starts: np.ndarray, lo: int, hi: int
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Raw draws ``[lo, hi)`` of the stream, one slab at a time, from ``rng``
+    at draw ``lo``: for each slab, the cells ``first:stop`` it touches and
+    the sums of their pieces in it."""
+    slab = np.empty(min(UNIFORM_SLAB, hi - lo))
+    for at in range(lo, hi, UNIFORM_SLAB):
+        values = rng.random(out=slab[: min(UNIFORM_SLAB, hi - at)])
+        first = int(np.searchsorted(starts, at, side="right")) - 1
+        stop = int(np.searchsorted(starts, at + len(values), side="left"))
+        offsets = starts[first:stop] - at
+        offsets[0] = 0  # the cell open at `at` continues into this slab
+        yield first, stop, np.add.reduceat(values, offsets)
+
+
 def _uniform_totals(rng: np.random.Generator, sizes: np.ndarray) -> np.ndarray:
     """Sums of ``sizes[i]`` consecutive raw uniforms on [0, 1), cell after cell.
 
     The draws come in slabs of at most ``UNIFORM_SLAB``; a cell that
-    straddles a slab boundary adds up its pieces.  Slab boundaries depend
-    only on a cell's offset in the stream, so a prefix of the cells sums
-    to the same values whatever follows it.
+    straddles a slab boundary adds up its pieces, slab after slab.  Slab
+    boundaries depend only on a cell's offset in the stream, so a prefix
+    of the cells sums to the same values whatever follows it.
+
+    A stream of several slabs is cut at slab boundaries into up to two
+    contiguous spans (one per CPU available), drawn at once: this thread
+    draws the first span from ``rng``, and a worker thread each later
+    span from a copy of ``rng``'s bit generator advanced to the span's
+    first draw.  One double is one 64-bit output, so every span reads
+    the doubles a single pass would, and the pieces are added in slab
+    order: the totals do not depend on the number of spans.  ``rng`` is
+    left where a single pass leaves it, ``sum(sizes)`` draws on.
     """
     totals = np.zeros(len(sizes))
-    if not len(sizes):
+    end = int(sizes.sum())
+    if not end:
         return totals
     starts = np.cumsum(sizes) - sizes
-    end = int(starts[-1] + sizes[-1])
-    slab = np.empty(min(UNIFORM_SLAB, end))
-    for lo in range(0, end, UNIFORM_SLAB):
-        values = rng.random(out=slab[: min(UNIFORM_SLAB, end - lo)])
-        first = int(np.searchsorted(starts, lo, side="right")) - 1
-        stop = int(np.searchsorted(starts, lo + len(values), side="left"))
-        offsets = starts[first:stop] - lo
-        offsets[0] = 0  # the cell open at lo continues into this slab
-        totals[first:stop] += np.add.reduceat(values, offsets)
+    slabs = -(-end // UNIFORM_SLAB)
+    spans = _span_count(slabs)
+    bounds = [i * slabs // spans * UNIFORM_SLAB for i in range(spans)] + [end]
+    pieces = [None] * spans
+
+    def draw(span: int, generator: np.random.Generator) -> None:
+        try:
+            pieces[span] = list(_slab_pieces(generator, starts, bounds[span], bounds[span + 1]))
+        except Exception as error:  # re-raised in the calling thread
+            pieces[span] = error
+
+    workers = []
+    for span in range(1, spans):
+        bit_generator = type(rng.bit_generator)()
+        bit_generator.state = rng.bit_generator.state
+        generator = np.random.Generator(bit_generator.advance(bounds[span]))
+        workers.append(threading.Thread(target=draw, args=(span, generator)))
+    for worker in workers:
+        worker.start()
+    try:
+        for first, stop, piece in _slab_pieces(rng, starts, 0, bounds[1]):
+            totals[first:stop] += piece
+    finally:
+        for worker in workers:
+            worker.join()
+    for span_pieces in pieces[1:]:
+        if isinstance(span_pieces, Exception):
+            raise span_pieces
+        for first, stop, piece in span_pieces:
+            totals[first:stop] += piece
+    if spans > 1:  # advance() also drops a buffered 32-bit half, which no double reads
+        rng.bit_generator.advance(end - bounds[1])
     return totals
 
 
@@ -140,9 +204,10 @@ class ParentDistribution:
 
         Sums come from the family's sufficient statistic (m*c, a binomial
         count, a Gaussian with mean m*mu and spread sqrt(m)*sigma), so a
-        block costs one draw at most; uniform blocks add up raw draws.
-        Cells consume the stream in order, so the sums of a prefix of
-        ``sizes`` do not depend on what follows it.
+        block costs one draw at most; uniform blocks add up raw draws,
+        on up to two threads (see ``_uniform_totals``) with the same sums
+        as on one.  Cells consume the stream in order, so the sums of a
+        prefix of ``sizes`` do not depend on what follows it.
         """
         base = _FAMILIES[self.family].block_sums(rng, sizes, *self.params)
         if self.scale == 1.0 and self.shift == 0.0:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from weaver import analysis, cli, exact
+from weaver import analysis, cli, exact, parents
 from weaver.errors import RangeError
 from weaver.exact import WeaverParams
 
@@ -894,3 +894,33 @@ class TestSecondDepthDigests:
         assert (code, out) == (0, "")
         digest = hashlib.sha256(target.read_bytes()).hexdigest()
         assert digest == self.DIGESTS[command, format]
+
+
+class TestSampleDigests:
+    """SHA-256 of the ``sample`` CSV for the point, gauss, bernoulli and
+    uniform parent pairs.  The uniform run reads its draws in slabs of
+    4099, so each parent's stream spans many slabs and is drawn in more
+    than one span wherever two CPUs are available.  The digests were
+    captured at commit 026689d, whose uniform block sums were drawn in
+    one pass on one thread."""
+
+    DIGESTS = {
+        ("sample --n 6 --p 2/3 --parents point:0;point:1 --reps 2000 --seed 7", None):
+            "c45787ca1fcb3da4ed3f51c8bd0868527fe3c206e9ced4cf22aa5af6240dc6fb",
+        ("sample --n 8 --p 2/3 --parents gauss:0,1;gauss:1,1 --reps 1500 --seed 7", None):
+            "055fd1f1ac83eb807792752f6b10b46f026394d89b481a5ff19175ca807bf902",
+        ("sample --n 8 --p 2/3 --parents bernoulli:0.2;bernoulli:0.7 --reps 1500 --seed 7", None):
+            "f1cf9783de317c3e04d3163d08fa9efdb23c004ac8fd0c6a5e0f63b0ee3825d4",
+        ("sample --n 10 --p 2/3 --parents uniform:0,1;uniform:1,2 --reps 1100 --seed 7", 4099):
+            "a07c1116a2cbdfa3860c8563de808e6af0aedbd9c8e274cb66b1b4268a84b959",
+    }
+
+    @pytest.mark.parametrize(
+        "command, slab", list(DIGESTS), ids=["point", "gauss", "bernoulli", "uniform"]
+    )
+    def test_sample_matches_digest(self, capsys, monkeypatch, command, slab):
+        if slab is not None:
+            monkeypatch.setattr(parents, "UNIFORM_SLAB", slab)
+        code, out, _ = run_cli(capsys, *command.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[command, slab]

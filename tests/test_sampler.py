@@ -1,6 +1,8 @@
 """Parent populations, path sampling, full runs, and Monte Carlo reports."""
 
 import math
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -436,6 +438,103 @@ class TestChunkedStreams:
         with pytest.raises(RangeError, match="seed must be non-negative, got -1"):
             draw(-1)
         draw(0)
+
+
+def _one_pass_totals(rng, sizes, slab):
+    # the slab-by-slab loop on one thread, the order the stream is read in
+    starts = np.cumsum(sizes) - sizes
+    end = int(sizes.sum())
+    totals = np.zeros(len(sizes))
+    for lo in range(0, end, slab):
+        values = rng.random(min(slab, end - lo))
+        first = int(np.searchsorted(starts, lo, side="right")) - 1
+        stop = int(np.searchsorted(starts, lo + len(values), side="left"))
+        offsets = starts[first:stop] - lo
+        offsets[0] = 0
+        totals[first:stop] += np.add.reduceat(values, offsets)
+    return totals
+
+
+class TestUniformSpans:
+    """``_uniform_totals`` draws a stream of several slabs in contiguous
+    spans at once; the totals must equal the one-pass loop's exactly."""
+
+    # 282 draws; at each slab and span count below, some span boundary
+    # falls inside a cell, so that cell's pieces come from two spans
+    SIZES = np.array([1, 2, 4, 8, 16, 3, 1, 32, 5, 64, 9, 128, 2, 7], dtype=np.int64)
+
+    @pytest.fixture
+    def spans_drawn(self, monkeypatch):
+        # records the first draw of every span that _uniform_totals draws
+        firsts = []
+        slab_pieces = parents._slab_pieces
+
+        def recorded(rng, starts, lo, hi):
+            firsts.append(lo)
+            return slab_pieces(rng, starts, lo, hi)
+
+        monkeypatch.setattr(parents, "_slab_pieces", recorded)
+        return firsts
+
+    @pytest.mark.parametrize("slab", [1, 7, 64])
+    @pytest.mark.parametrize("spans", [1, 2, 3])
+    def test_spans_match_one_pass(self, monkeypatch, spans_drawn, slab, spans):
+        monkeypatch.setattr(parents, "UNIFORM_SLAB", slab)
+        monkeypatch.setattr(parents, "_span_count", lambda slabs: min(spans, slabs))
+        split, single = np.random.default_rng(11), np.random.default_rng(11)
+        threads = threading.active_count()
+        totals = parents._uniform_totals(split, self.SIZES)
+        assert np.array_equal(totals, _one_pass_totals(single, self.SIZES, slab))
+        assert split.bit_generator.state == single.bit_generator.state
+        assert threading.active_count() == threads
+        assert len(spans_drawn) == spans
+        starts = set((np.cumsum(self.SIZES) - self.SIZES).tolist())
+        assert spans == 1 or not starts.issuperset(spans_drawn)
+
+    def test_more_spans_than_cores_under_fast_switching(self, monkeypatch):
+        # eight spans on short slabs, with the interpreter switching threads
+        # every microsecond: no span's pieces may be lost or misplaced
+        monkeypatch.setattr(parents, "UNIFORM_SLAB", 3)
+        monkeypatch.setattr(parents, "_span_count", lambda slabs: min(8, slabs))
+        sizes = np.tile(self.SIZES, 20)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(5):
+                split, single = np.random.default_rng(seed), np.random.default_rng(seed)
+                totals = parents._uniform_totals(split, sizes)
+                assert np.array_equal(totals, _one_pass_totals(single, sizes, 3))
+                assert split.bit_generator.state == single.bit_generator.state
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("failing", [0, 1, 2], ids=["caller", "worker", "last-worker"])
+    def test_span_error_reaches_the_caller(self, monkeypatch, failing):
+        monkeypatch.setattr(parents, "UNIFORM_SLAB", 7)
+        monkeypatch.setattr(parents, "_span_count", lambda slabs: min(3, slabs))
+        slab_pieces = parents._slab_pieces
+        firsts = [0, 13 * 7, 27 * 7]  # 41 slabs in 3 spans
+
+        def pieces(rng, starts, lo, hi):
+            if lo == firsts[failing]:
+                raise ValueError(f"span at {lo}")
+            return slab_pieces(rng, starts, lo, hi)
+
+        monkeypatch.setattr(parents, "_slab_pieces", pieces)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match=f"span at {firsts[failing]}"):
+            parents._uniform_totals(np.random.default_rng(11), self.SIZES)
+        assert threading.active_count() == threads
+
+    def test_span_count(self):
+        assert parents._span_count(1) == 1
+        assert 1 <= parents._span_count(1 << 20) <= 2
+
+    def test_one_slab_draws_on_the_calling_thread(self, spans_drawn):
+        threads = threading.active_count()
+        parents._uniform_totals(np.random.default_rng(11), self.SIZES)
+        assert spans_drawn == [0]
+        assert threading.active_count() == threads
 
 
 class TestSelectionCompare:

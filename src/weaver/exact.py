@@ -285,15 +285,19 @@ def cdf_at_dyadic(point: DyadicPoint, params: WeaverParams) -> Fraction:
     return total
 
 
-def cdf_grid(params: WeaverParams, resolution: int) -> tuple[Iterator[int], int]:
+def cdf_grid(
+    params: WeaverParams, resolution: int, start: int = 0
+) -> tuple[Iterator[int], int]:
     """Distribution function of W(n, p) at every point k / 2**m, m = resolution.
 
-    Returns the 2**m + 1 values as integer numerators over their common
-    denominator d**m (p = a/d), like :func:`_mass_numerators`.  The cdf
-    is stable under refinement, so the grid is the running sum of the
-    depth-m mass numerators, leaf k's indexed by ones(k), in O(2**m)
-    integer adds.  Entry k over the denominator equals
-    :func:`cdf_at_dyadic` at k / 2**m, which stays the O(n) point query.
+    Returns the 2**m + 1 values, or those from k = ``start`` on, as
+    integer numerators over their common denominator d**m (p = a/d), like
+    :func:`_mass_numerators`.  The cdf is stable under refinement, so the
+    grid is the running sum of the depth-m mass numerators, leaf k's
+    indexed by ones(k), in O(2**m) integer adds, from its value at
+    ``start`` (:func:`_cdf_numerator`).  Entry k over the denominator
+    equals :func:`cdf_at_dyadic` at k / 2**m, which stays the O(n) point
+    query.
 
     The sums come one at a time from an iterator, not as a list; the cap
     and refinement checks run when this is called, before the first one.
@@ -305,8 +309,30 @@ def cdf_grid(params: WeaverParams, resolution: int) -> tuple[Iterator[int], int]
             "the value is not yet stable"
         )
     numerators, denominator = _mass_numerators(params.p, resolution)
-    ones = map(int.bit_count, range(1 << resolution))
-    return accumulate(map(numerators.__getitem__, ones), initial=0), denominator
+    ones = map(int.bit_count, range(start, 1 << resolution))
+    first = _cdf_numerator(params.p, resolution, start)
+    return accumulate(map(numerators.__getitem__, ones), initial=first), denominator
+
+
+def _cdf_numerator(p: Fraction, m: int, k: int) -> int:
+    """The numerator of F(k / 2**m) over d**m (p = a/d), 0 <= k <= 2**m.
+
+    The integer form of :func:`cdf_at_dyadic`'s O(m) digit walk: each
+    one-bit of k adds the leaves that share its higher bits and have a
+    zero in its place, a subtree of mass (d-a) * d**i times the prefix's
+    a**ones * (d-a)**zeros, over d**m.
+    """
+    a, d = p.numerator, p.denominator
+    if k >> m:
+        return d**m
+    total, prefix = 0, 1
+    for i in range(m - 1, -1, -1):
+        if (k >> i) & 1:
+            total += prefix * (d - a) * d**i
+            prefix *= a
+        else:
+            prefix *= d - a
+    return total
 
 
 def _mass_numerators(p: Fraction, m: int) -> tuple[list[int], int]:

@@ -14,13 +14,13 @@ stays inside the type.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
 import numpy as np
 
+from weaver import _host
 from weaver.errors import DegeneracyError, RangeError
 
 #: Uniform block sums read raw draws in slabs of at most this many
@@ -34,11 +34,7 @@ STANDARDIZATION_TOL = 1e-12
 
 def _span_count(slabs: int) -> int:
     # spans drawn at once: at most two, one per CPU available, one per slab
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        cpus = os.cpu_count() or 1
-    return min(2, cpus, slabs)
+    return min(2, _host.cpu_count(), slabs)
 
 
 def _slab_pieces(

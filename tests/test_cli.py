@@ -5,8 +5,10 @@ import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from weaver import analysis, cli, exact, parents
+from weaver import _host, analysis, cli, exact, parents
 from weaver.errors import RangeError
 from weaver.exact import WeaverParams
 
@@ -232,6 +234,163 @@ class TestNoStoredRow:
         assert analysis.exact_moment(params, 2) == (
             analysis.exact_variance(params) + params.p**2
         )
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestTwoProcesses:
+    """A 2**n table of at least ``cli._SPLIT_ROWS`` rows, where two CPUs
+    are granted, is rendered on two processes: a forked child renders the
+    rows from the split point on.  Here the threshold and the CPU count
+    are patched, so small tables split, and the split point is moved to
+    each end and the middle; the bytes must equal those of one process."""
+
+    TABLES = [
+        ("pmf", "--n", "4", "--p", "2/3"),
+        ("cdf", "--n", "5", "--p", "1/3", "--resolution", "4"),
+        ("cdf", "--n", "3", "--p", "1/2"),
+        ("triangle", "--n", "4"),
+        ("density", "--n", "3", "--p", "7/10"),
+    ]
+
+    @pytest.fixture
+    def split(self, monkeypatch):
+        """``split(choose)`` makes each 2**n table split at row
+        ``choose(count)``, once the rule, with the threshold and the CPU
+        count patched, has picked the middle; it returns the list of forks
+        made in this process."""
+
+        def set_split(choose):
+            forks, fork, write = [], os.fork, cli._write
+
+            def counted_fork():
+                forks.append(fork())
+                return forks[-1]
+
+            def split_write(table, layout, handle, mid):
+                if mid < len(table):  # a list table keeps all its rows here
+                    assert mid == len(table) // 2
+                    mid = choose(len(table))
+                write(table, layout, handle, mid)
+
+            monkeypatch.setattr(cli, "_SPLIT_ROWS", 2)
+            monkeypatch.setattr(_host, "cpu_count", lambda: 2)
+            monkeypatch.setattr(os, "fork", counted_fork)
+            monkeypatch.setattr(cli, "_write", split_write)
+            return forks
+
+        return set_split
+
+    @pytest.mark.parametrize(
+        "choose", [lambda count: 1, lambda count: count // 2, lambda count: count - 1],
+        ids=["first", "middle", "last"],
+    )
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    @pytest.mark.parametrize("argv", TABLES, ids=" ".join)
+    def test_same_bytes(self, capsys, tmp_path, split, argv, format, choose):
+        argv = (*argv, "--format", format)
+        one, target = run_cli(capsys, *argv), tmp_path / "table"
+        assert one[0] == 0 and one[1]
+        run_cli(capsys, *argv, "--output", str(target))
+        one_file = target.read_bytes()
+        forks = split(choose)
+        assert run_cli(capsys, *argv) == one
+        assert run_cli(capsys, *argv, "--output", str(target)) == (0, "", "")
+        assert target.read_bytes() == one_file == one[1].encode()
+        assert len(forks) == 2
+        _no_child_left()
+
+    def test_list_tables_stay_on_one_process(self, capsys, split):
+        forks = split(lambda count: 1)
+        for argv in [("decompose", "--n", "5"), ("moments", "--n", "3", "--p", "3/7"),
+                     ("converge", "--n", "4", "--p", "1/4")]:
+            assert run_cli(capsys, *argv)[0] == 0
+        assert forks == []
+
+    def test_split_rule(self, monkeypatch):
+        monkeypatch.setattr(cli, "_SPLIT_ROWS", 100)
+        monkeypatch.setattr(_host, "cpu_count", lambda: 2)
+        assert [cli._split_point(count) for count in (99, 100, 101)] == [99, 50, 50]
+        monkeypatch.setattr(_host, "cpu_count", lambda: 1)
+        assert cli._split_point(1000) == 1000
+        monkeypatch.setattr(_host, "cpu_count", lambda: 2)
+        monkeypatch.delattr(os, "fork")
+        assert cli._split_point(1000) == 1000
+
+    def test_cpu_count_reads_the_affinity_mask(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert _host.cpu_count() == len(os.sched_getaffinity(0))
+        assert _host.cpu_count() >= 1
+
+    @staticmethod
+    def _rows_that(monkeypatch, parent=None, child=None):
+        """Tables whose rows run ``parent`` before the first row this process
+        renders and ``child`` before the first row the child renders."""
+        write = cli._write
+
+        def hooked_write(table, layout, handle, mid):
+            rows = table.rows
+
+            def hooked(start, stop):
+                hook = parent if start == 0 else child
+                if hook is not None:
+                    hook()
+                yield from rows(start, stop)
+
+            table.rows = hooked
+            write(table, layout, handle, mid)
+
+        monkeypatch.setattr(cli, "_write", hooked_write)
+
+    @pytest.mark.parametrize(
+        "error, reason",
+        [
+            (ValueError("no rows here"), "no rows here"),
+            (OSError(28, "No space left on device"), "[Errno 28] No space left on device"),
+            (ValueError("two\nlines"), "two lines"),
+            (MemoryError(), "MemoryError"),
+            (None, "exit status -9"),  # killed, with no text
+        ],
+        ids=["value", "os", "two-lines", "no-text", "killed"],
+    )
+    def test_failing_child_exits_2(self, capfd, monkeypatch, split, error, reason):
+        split(lambda count: count // 2)
+
+        def fail():
+            if error is None:
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise error
+
+        self._rows_that(monkeypatch, child=fail)
+        for output in ("-", os.devnull):
+            assert cli.main(["pmf", "--n", "4", "--p", "2/3", "--output", output]) == 2
+            err = capfd.readouterr().err
+            message = f"the child process rendering rows 8 to 15 failed: {reason}"
+            assert err == f"weaver: error: {message}\n"
+            _no_child_left()
+
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    def test_failing_parent_stops_and_reaps_the_child(self, capfd, monkeypatch, split, error):
+        # the child would take 20 s to render; the parent fails at once and
+        # kills it rather than wait
+        split(lambda count: count // 2)
+
+        def fail():
+            raise error("stopped")
+
+        self._rows_that(monkeypatch, parent=fail, child=lambda: time.sleep(20))
+        start = time.perf_counter()
+        if error is OSError:
+            assert cli.main(["triangle", "--n", "3"]) == 2
+            assert capfd.readouterr().err == "weaver: i/o error: stopped\n"
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                cli.main(["triangle", "--n", "3"])
+        assert time.perf_counter() - start < 10
+        _no_child_left()
 
 
 class TestRationalCell:

@@ -403,6 +403,30 @@ class TestCdfGrid:
         assert len(grid) == (1 << m) + 1
         assert grid == [cdf_at_dyadic(DyadicPoint(k=k, n=m), params) for k in range(len(grid))]
 
+    @pytest.mark.parametrize(
+        "p", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(5, 7), Fraction(1, 1000)]
+    )
+    @pytest.mark.parametrize("m", range(9))
+    def test_start_walk_matches_point_queries(self, p, m):
+        # the integer walk that starts a grid at any k, against the
+        # Fraction walk, as rationals: its numerator at k over d**m
+        params = WeaverParams(n=max(m, 1), p=p)
+        d = p.denominator
+        for k in range((1 << m) + 1):
+            assert Fraction(exact._cdf_numerator(p, m, k), d**m) == cdf_at_dyadic(
+                DyadicPoint(k=k, n=m), params
+            ), k
+
+    @pytest.mark.parametrize("p", [Fraction(1, 3), Fraction(5, 7)])
+    @pytest.mark.parametrize("n, m", [(1, 1), (6, 6), (9, 4)])
+    def test_grid_from_any_start(self, p, n, m):
+        params = WeaverParams(n=n, p=p)
+        whole = list(cdf_grid(params, m)[0])
+        for start in range((1 << m) + 1):
+            sums, den = cdf_grid(params, m, start)
+            assert den == p.denominator**m
+            assert list(sums) == whole[start:], start
+
     def test_unstable_resolution_rejected(self):
         with pytest.raises(RefinementError, match="exceeds construction depth 3"):
             cdf_grid(WeaverParams(n=3, p=Fraction(1, 2)), 4)

@@ -241,6 +241,35 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.fixture
+def split(monkeypatch):
+    """``split(choose)`` makes each 2**n table split at row
+    ``choose(count)``, once the rule, with the threshold and the CPU
+    count patched, has picked the middle; it returns the list of forks
+    made in this process."""
+
+    def set_split(choose):
+        forks, fork, write = [], os.fork, cli._write
+
+        def counted_fork():
+            forks.append(fork())
+            return forks[-1]
+
+        def split_write(table, layout, handle, mid):
+            if mid < len(table):  # a list table keeps all its rows here
+                assert mid == len(table) // 2
+                mid = choose(len(table))
+            write(table, layout, handle, mid)
+
+        monkeypatch.setattr(cli, "_SPLIT_ROWS", 2)
+        monkeypatch.setattr(_host, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(cli, "_write", split_write)
+        return forks
+
+    return set_split
+
+
 class TestTwoProcesses:
     """A 2**n table of at least ``cli._SPLIT_ROWS`` rows, where two CPUs
     are granted, is rendered on two processes: a forked child renders the
@@ -255,34 +284,6 @@ class TestTwoProcesses:
         ("triangle", "--n", "4"),
         ("density", "--n", "3", "--p", "7/10"),
     ]
-
-    @pytest.fixture
-    def split(self, monkeypatch):
-        """``split(choose)`` makes each 2**n table split at row
-        ``choose(count)``, once the rule, with the threshold and the CPU
-        count patched, has picked the middle; it returns the list of forks
-        made in this process."""
-
-        def set_split(choose):
-            forks, fork, write = [], os.fork, cli._write
-
-            def counted_fork():
-                forks.append(fork())
-                return forks[-1]
-
-            def split_write(table, layout, handle, mid):
-                if mid < len(table):  # a list table keeps all its rows here
-                    assert mid == len(table) // 2
-                    mid = choose(len(table))
-                write(table, layout, handle, mid)
-
-            monkeypatch.setattr(cli, "_SPLIT_ROWS", 2)
-            monkeypatch.setattr(_host, "cpu_count", lambda: 2)
-            monkeypatch.setattr(os, "fork", counted_fork)
-            monkeypatch.setattr(cli, "_write", split_write)
-            return forks
-
-        return set_split
 
     @pytest.mark.parametrize(
         "choose", [lambda count: 1, lambda count: count // 2, lambda count: count - 1],
@@ -391,6 +392,64 @@ class TestTwoProcesses:
                 cli.main(["triangle", "--n", "3"])
         assert time.perf_counter() - start < 10
         _no_child_left()
+
+
+class _CountingHandle(io.StringIO):
+    """A text handle that counts its write calls, each line of a
+    writelines call as one."""
+
+    calls = 0
+
+    def write(self, text):
+        self.calls += 1
+        return super().write(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+
+class TestBatches:
+    """The rows of a table are written ``cli._BATCH_ROWS`` at a time.  A
+    batch of 1, 2 or 3 rows or of more rows than the table has, on one
+    process or two, must give the same bytes, with no write per row."""
+
+    @pytest.mark.parametrize("two", [False, True], ids=["one-process", "split"])
+    @pytest.mark.parametrize("batch", [1, 2, 3, 1000])
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    @pytest.mark.parametrize("argv", TestTwoProcesses.TABLES, ids=" ".join)
+    def test_same_bytes(self, capsys, tmp_path, monkeypatch, split, argv, format, batch, two):
+        argv = (*argv, "--format", format)
+        one = run_cli(capsys, *argv)
+        assert one[0] == 0 and one[1]
+        monkeypatch.setattr(cli, "_BATCH_ROWS", batch)
+        forks = split(lambda count: count // 2) if two else []
+        target = tmp_path / "table"
+        assert run_cli(capsys, *argv) == one
+        assert run_cli(capsys, *argv, "--output", str(target)) == (0, "", "")
+        assert target.read_bytes() == one[1].encode()
+        assert len(forks) == (2 if two else 0)
+        _no_child_left()
+
+    @pytest.mark.parametrize("batch", [None, 1, 100])
+    @pytest.mark.parametrize(
+        "argv, rows",
+        [
+            (("pmf", "--n", "10", "--p", "2/3", "--format", "json"), 1024),
+            (("triangle", "--n", "12"), 4096),
+            (("cdf", "--n", "9", "--p", "1/3"), 513),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, tuple) else str(value),
+    )
+    def test_write_calls(self, capsys, monkeypatch, argv, rows, batch):
+        expected = run_cli(capsys, *argv)
+        if batch is not None:
+            monkeypatch.setattr(cli, "_BATCH_ROWS", batch)
+        handle = _CountingHandle()
+        monkeypatch.setattr(sys, "stdout", handle)
+        assert cli.main(list(argv)) == 0
+        assert handle.getvalue() == expected[1]
+        assert handle.calls <= -(-rows // cli._BATCH_ROWS) + 2
 
 
 class TestRationalCell:

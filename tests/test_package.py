@@ -1,4 +1,5 @@
-"""The package root: it binds no names, and numpy loads only with the sampler side."""
+"""The package root: it binds no names, numpy loads only with the sampler
+side, and weaver.analysis only with the tables that use it."""
 
 import os
 import re
@@ -12,11 +13,11 @@ import weaver
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# run in a fresh interpreter: prints whether numpy was loaded after the body
+# run in a fresh interpreter: prints whether a module was loaded after the body
 _PROBE = """
 import sys
 {body}
-print("numpy" in sys.modules)
+print({module!r} in sys.modules)
 """
 
 _RUN_CLI = """
@@ -29,9 +30,9 @@ assert code == 0, code
 """
 
 
-def _numpy_loaded(body: str) -> bool:
+def _loaded(body: str, module: str) -> bool:
     result = subprocess.run(
-        [sys.executable, "-c", _PROBE.format(body=body)],
+        [sys.executable, "-c", _PROBE.format(body=body, module=module)],
         capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
     )
@@ -55,14 +56,44 @@ class TestNoNumpy:
         ids=" ".join,
     )
     def test_exact_commands_never_import_numpy(self, argv):
-        assert not _numpy_loaded(_RUN_CLI.format(argv=argv))
+        assert not _loaded(_RUN_CLI.format(argv=argv), "numpy")
 
     def test_package_import(self):
-        assert not _numpy_loaded("import weaver")
+        assert not _loaded("import weaver", "numpy")
 
     def test_sample_imports_numpy_and_runs(self):
         argv = ["sample", "--n", "4", "--p", "1/3", "--reps", "200", "--seed", "5"]
-        assert _numpy_loaded(_RUN_CLI.format(argv=argv))
+        assert _loaded(_RUN_CLI.format(argv=argv), "numpy")
+
+
+class TestNoAnalysis:
+    """The 2**n tables and the top-level help never compile weaver.analysis."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pmf", "--n", "4", "--p", "2/3"],
+            ["cdf", "--n", "4", "--p", "1/3", "--format", "json"],
+            ["triangle", "--n", "3"],
+            ["density", "--n", "3", "--p", "7/10"],
+            ["--help"],
+        ],
+        ids=" ".join,
+    )
+    def test_tables_never_import_analysis(self, argv):
+        assert not _loaded(_RUN_CLI.format(argv=argv), "weaver.analysis")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moments", "--n", "4", "--p", "3/7"],
+            ["decompose", "--n", "4"],
+            ["converge", "--n", "4", "--p", "1/4"],
+        ],
+        ids=" ".join,
+    )
+    def test_list_tables_import_it(self, argv):
+        assert _loaded(_RUN_CLI.format(argv=argv), "weaver.analysis")
 
 
 class TestLazyNamespace:

@@ -15,6 +15,9 @@ temporary file while this process renders the first half, and then
 copies the child's bytes in after them.  The bytes are the same as on
 one process.
 
+`sample --parents` takes two specs that weaver.parents parses; a spec it
+rejects is a usage error.  Only a `sample` run, as it draws, loads numpy.
+
 Exit status: 0 on success, 1 on a usage error, 2 on a runtime, capacity,
 or I/O error.
 """
@@ -30,9 +33,9 @@ from itertools import islice
 from math import gcd
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
-# the sampler side (weaver.parents, weaver.sampler) loads numpy, so only
-# a `sample` run imports it, when argparse converts its --parents; and
-# only the list tables that use weaver.analysis import it
+# weaver.parents is imported only when argparse converts a `sample` run's
+# --parents, and weaver.sampler, the one module that loads numpy, only
+# when that run draws; only the list tables import weaver.analysis
 from weaver import _host, exact
 from weaver.errors import CapacityError, RangeError, WeaverError
 from weaver.exact import WeaverParams
@@ -53,56 +56,14 @@ def _parse_probability(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(err))
 
 
-# family name in a parent spec: (factory in weaver.parents, parameter count)
-_PARENT_FACTORIES = {
-    "point": ("point_mass", 1),
-    "pointmass": ("point_mass", 1),
-    "point-mass": ("point_mass", 1),
-    "bernoulli": ("bernoulli", 1),
-    "uniform": ("uniform_interval", 2),
-    "uniform-interval": ("uniform_interval", 2),
-    "gauss": ("gaussian", 2),
-    "gaussian": ("gaussian", 2),
-}
-
-
-def _parse_parent(spec: str) -> Any:
-    """The parent population of one spec, built by its family's factory.
-
-    Argparse calls this only to convert a `sample` run's --parents, so no
-    other command, nor `sample --help`, imports weaver.parents.
-    """
-    name, _, arg_text = spec.partition(":")
-    key = name.strip().lower()
-    if key not in _PARENT_FACTORIES:
-        raise argparse.ArgumentTypeError(
-            f"unknown parent family {name!r}; expected one of "
-            "point:c, bernoulli:q, uniform:a,b, gauss:mean,variance"
-        )
-    factory, arity = _PARENT_FACTORIES[key]
-    try:
-        args = [float(a) for a in arg_text.split(",")] if arg_text else []
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad numeric parameters in parent spec {spec!r}")
-    if len(args) != arity:
-        raise argparse.ArgumentTypeError(
-            f"parent family {name!r} takes {arity} parameter(s), got {len(args)}"
-        )
+def _parse_parent_pair(text: str) -> tuple[Any, Any]:
+    # only a `sample` run's --parents imports weaver.parents, which parses it
     from weaver import parents
 
     try:
-        return getattr(parents, factory)(*args)
+        return parents._parse_pair(text)
     except WeaverError as err:
         raise argparse.ArgumentTypeError(str(err))
-
-
-def _parse_parent_pair(text: str) -> tuple[Any, Any]:
-    specs = text.split(";")
-    if len(specs) != 2:
-        raise argparse.ArgumentTypeError(
-            f"expected two parent specs separated by ';', got {text!r}"
-        )
-    return _parse_parent(specs[0]), _parse_parent(specs[1])
 
 
 def _positive_int(text: str) -> int:

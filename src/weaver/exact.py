@@ -6,11 +6,11 @@ It places mass ``p**ones(k) * (1-p)**(n-ones(k))`` on the lattice point
 ``k / (2**n - 1)``, where ``ones(k)`` is the number of one-bits in the
 leaf index ``k`` (``0 <= k < 2**n``).
 
-Everything in this module is computed with exact rational arithmetic
-(:class:`fractions.Fraction`).  Binary64 enters only through the
-explicit log-space helpers meant for depths far beyond the
-materialization cap; those carry a documented relative tolerance of
-1e-12.
+Everything in this module is exact: the point queries in Fractions, and
+the kernels of the 2**n tables in integer numerators over a common
+denominator.  Binary64 enters only through the explicit log-space
+helpers meant for depths far beyond the materialization cap; those
+carry a documented relative tolerance of 1e-12.
 """
 
 from __future__ import annotations

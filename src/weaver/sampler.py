@@ -20,18 +20,23 @@ are replication 0 of the ensemble with their seed: ``draw_selection_path``
 reads chunk 0's path words, ``run_exponential_sample`` is the first run
 of ``run_ensemble``, and ``run_from_path`` reads chunk 0's block-sum
 streams for the path it is given.
+
+This is the one module that imports numpy.  A parent population of
+:mod:`weaver.parents` is only a spec; every draw from it comes from the
+table of per-family samplers here.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import isfinite, sqrt
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
-from weaver import analysis
+from weaver import _host, analysis
 from weaver.errors import CapacityError, ContractError, RangeError
 from weaver.exact import SelectionPath, WeaverParams, _check_probability, cdf_grid
 from weaver.parents import ParentDistribution, is_standardized
@@ -54,6 +59,10 @@ RAW_DRAW_CAP = 30
 
 #: Selection paths alone need only n Bernoullis.
 PATH_ONLY_CAP = 63
+
+#: Uniform block sums read raw draws in slabs of at most this many
+#: doubles (1 MiB), so a deep block never holds all its draws at once.
+UNIFORM_SLAB = 1 << 17
 
 # stream purposes within a chunk
 _PATH_WORDS, _H0_SUMS, _H1_SUMS = 0, 1, 2
@@ -150,6 +159,137 @@ def _check_run(n: int, h0: ParentDistribution, h1: ParentDistribution) -> None:
         )
 
 
+def _span_count(slabs: int) -> int:
+    # spans drawn at once: at most two, one per CPU available, one per slab
+    return min(2, _host.cpu_count(), slabs)
+
+
+def _slab_pieces(
+    rng: np.random.Generator, starts: np.ndarray, lo: int, hi: int
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Raw draws ``[lo, hi)`` of the stream, one slab at a time, from ``rng``
+    at draw ``lo``: for each slab, the cells ``first:stop`` it touches and
+    the sums of their pieces in it."""
+    slab = np.empty(min(UNIFORM_SLAB, hi - lo))
+    for at in range(lo, hi, UNIFORM_SLAB):
+        values = rng.random(out=slab[: min(UNIFORM_SLAB, hi - at)])
+        first = int(np.searchsorted(starts, at, side="right")) - 1
+        stop = int(np.searchsorted(starts, at + len(values), side="left"))
+        offsets = starts[first:stop] - at
+        offsets[0] = 0  # the cell open at `at` continues into this slab
+        yield first, stop, np.add.reduceat(values, offsets)
+
+
+def _uniform_totals(rng: np.random.Generator, sizes: np.ndarray) -> np.ndarray:
+    """Sums of ``sizes[i]`` consecutive raw uniforms on [0, 1), cell after cell.
+
+    The draws come in slabs of at most ``UNIFORM_SLAB``; a cell that
+    straddles a slab boundary adds up its pieces, slab after slab.  Slab
+    boundaries depend only on a cell's offset in the stream, so a prefix
+    of the cells sums to the same values whatever follows it.
+
+    A stream of several slabs is cut at slab boundaries into up to two
+    contiguous spans (one per CPU available), drawn at once: this thread
+    draws the first span from ``rng``, and a worker thread each later
+    span from a copy of ``rng``'s bit generator advanced to the span's
+    first draw.  One double is one 64-bit output, so every span reads
+    the doubles a single pass would, and the pieces are added in slab
+    order: the totals do not depend on the number of spans.  ``rng`` is
+    left where a single pass leaves it, ``sum(sizes)`` draws on.
+    """
+    totals = np.zeros(len(sizes))
+    end = int(sizes.sum())
+    if not end:
+        return totals
+    starts = np.cumsum(sizes) - sizes
+    slabs = -(-end // UNIFORM_SLAB)
+    spans = _span_count(slabs)
+    bounds = [i * slabs // spans * UNIFORM_SLAB for i in range(spans)] + [end]
+    pieces = [None] * spans
+
+    def draw(span: int, generator: np.random.Generator) -> None:
+        try:
+            pieces[span] = list(_slab_pieces(generator, starts, bounds[span], bounds[span + 1]))
+        except Exception as error:  # re-raised in the calling thread
+            pieces[span] = error
+
+    workers = []
+    for span in range(1, spans):
+        bit_generator = type(rng.bit_generator)()
+        bit_generator.state = rng.bit_generator.state
+        generator = np.random.Generator(bit_generator.advance(bounds[span]))
+        workers.append(threading.Thread(target=draw, args=(span, generator)))
+    for worker in workers:
+        worker.start()
+    try:
+        for first, stop, piece in _slab_pieces(rng, starts, 0, bounds[1]):
+            totals[first:stop] += piece
+    finally:
+        for worker in workers:
+            worker.join()
+    for span_pieces in pieces[1:]:
+        if isinstance(span_pieces, Exception):
+            raise span_pieces
+        for first, stop, piece in span_pieces:
+            totals[first:stop] += piece
+    if spans > 1:  # advance() also drops a buffered 32-bit half, which no double reads
+        rng.bit_generator.advance(end - bounds[1])
+    return totals
+
+
+@dataclass(frozen=True)
+class _Sampler:
+    """Draws of one base family of :mod:`weaver.parents`, over its ``params``.
+
+    ``draw(rng, size, *params)`` returns ``size`` observations;
+    ``block_sums(rng, sizes, *params)`` returns, for each entry m of
+    ``sizes``, the sum of m observations drawn from its sufficient
+    statistic (m*c, a binomial count, a Gaussian with mean m*mu and
+    spread sqrt(m)*sigma), so a block costs one draw at most.  Uniform
+    blocks add up raw draws, on up to two threads with the same sums as
+    on one (``_uniform_totals``).  Cells consume the stream in order, so
+    the sums of a prefix of ``sizes`` do not depend on what follows it.
+    """
+
+    draw: Callable[..., np.ndarray]
+    block_sums: Callable[..., np.ndarray]
+
+
+_SAMPLERS = {
+    "point-mass": _Sampler(
+        draw=lambda rng, size, c: np.full(size, c, dtype=np.float64),
+        block_sums=lambda rng, sizes, c: sizes * c,
+    ),
+    "bernoulli": _Sampler(
+        draw=lambda rng, size, q: (rng.random(size) < q).astype(np.float64),
+        block_sums=lambda rng, sizes, q: rng.binomial(sizes, q).astype(np.float64),
+    ),
+    "uniform-interval": _Sampler(
+        draw=lambda rng, size, a, b: rng.uniform(a, b, size),
+        block_sums=lambda rng, sizes, a, b: a * sizes + (b - a) * _uniform_totals(rng, sizes),
+    ),
+    # sqrt(m) * sigma rather than sqrt(m * var): a spread that only
+    # overflows in the moments must not already overflow in the draws
+    "gaussian": _Sampler(
+        draw=lambda rng, size, mu, var: rng.normal(mu, sqrt(var), size),
+        block_sums=lambda rng, sizes, mu, var: (
+            mu * sizes + np.sqrt(sizes) * sqrt(var) * rng.standard_normal(len(sizes))
+        ),
+    ),
+}
+
+
+def _parent_sums(
+    parent: ParentDistribution, rng: np.random.Generator, sizes: np.ndarray
+) -> np.ndarray:
+    """For each block size m in ``sizes``, the sum of m iid observations
+    of ``parent``: its family's block sums, under its affine map."""
+    base = _SAMPLERS[parent.family].block_sums(rng, sizes, *parent.params)
+    if parent.scale == 1.0 and parent.shift == 0.0:
+        return base
+    return base * parent.scale + sizes * parent.shift
+
+
 def _block_sums(
     selected: np.ndarray,
     h0: ParentDistribution,
@@ -167,7 +307,7 @@ def _block_sums(
     sizes = np.broadcast_to(1 << np.arange(selected.shape[1], dtype=np.int64), selected.shape)
     sums = np.empty(selected.shape)
     for cells, parent, purpose in ((~selected, h0, _H0_SUMS), (selected, h1, _H1_SUMS)):
-        sums[cells] = parent.block_sums(_stream(seed, key, chunk, purpose), sizes[cells])
+        sums[cells] = _parent_sums(parent, _stream(seed, key, chunk, purpose), sizes[cells])
     return sums
 
 
@@ -231,21 +371,16 @@ def _chunks(
     replications: int,
     seed: int,
     key: tuple[int, ...],
-    parents: tuple[ParentDistribution, ParentDistribution] | None = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
-    """The ensemble chunk by chunk: a boolean (count, n) selection grid
-    (column j for block j + 1) and, given parents, its block sums."""
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The ensemble chunk by chunk: the chunk's index and its boolean
+    (count, n) selection grid (column j for block j + 1)."""
     if replications < 1:
         raise RangeError(f"replications must be positive, got {replications}")
     threshold = _path_threshold(n, p)
     for chunk, start in enumerate(range(0, replications, CHUNK)):
         count = min(CHUNK, replications - start)
         words = _draw_words(_stream(seed, key, chunk, _PATH_WORDS), (count, n))
-        selected = _selection_bits(words, threshold)
-        if parents is None:
-            yield selected, None
-            continue
-        yield selected, _block_sums(selected, *parents, seed, key, chunk)
+        yield chunk, _selection_bits(words, threshold)
 
 
 def run_ensemble(
@@ -258,8 +393,8 @@ def run_ensemble(
 ) -> Iterator[SampleRun]:
     """Yield independent runs in stream order; run i depends only on (seed, i)."""
     _check_run(n, h0, h1)
-    for selected, sums in _chunks(n, p, replications, seed, (), (h0, h1)):
-        yield from _sample_runs(n, selected, sums)
+    for chunk, selected in _chunks(n, p, replications, seed, ()):
+        yield from _sample_runs(n, selected, _block_sums(selected, h0, h1, seed, (), chunk))
 
 
 def simulate_mean_ensemble(
@@ -279,8 +414,10 @@ def simulate_mean_ensemble(
     """
     _check_run(n, h0, h1)
     denominator = (1 << n) - 1
-    chunks = _chunks(n, p, replications, seed, key, (h0, h1))
-    return np.concatenate([_totals(sums) / denominator for _, sums in chunks])
+    return np.concatenate([
+        _totals(_block_sums(selected, h0, h1, seed, key, chunk)) / denominator
+        for chunk, selected in _chunks(n, p, replications, seed, key)
+    ])
 
 
 def path_ensemble(
@@ -294,7 +431,7 @@ def path_ensemble(
     same seed.
     """
     return np.concatenate(
-        [_leaf_indices(selected) for selected, _ in _chunks(n, p, replications, seed, ())]
+        [_leaf_indices(selected) for _, selected in _chunks(n, p, replications, seed, ())]
     )
 
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from weaver import _host, analysis, cli, exact, parents
+from weaver import _host, analysis, cli, exact, sampler
 from weaver.errors import RangeError
 from weaver.exact import WeaverParams
 
@@ -1138,7 +1138,7 @@ class TestSampleDigests:
     )
     def test_sample_matches_digest(self, capsys, monkeypatch, command, slab):
         if slab is not None:
-            monkeypatch.setattr(parents, "UNIFORM_SLAB", slab)
+            monkeypatch.setattr(sampler, "UNIFORM_SLAB", slab)
         code, out, _ = run_cli(capsys, *command.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[command, slab]

@@ -1,5 +1,5 @@
-"""The package root: it binds no names, numpy loads only with the sampler
-side, and weaver.analysis only with the tables that use it."""
+"""The package root: it binds no names, numpy loads only with weaver.sampler,
+and weaver.analysis only with the tables that use it."""
 
 import os
 import re
@@ -28,6 +28,18 @@ except SystemExit as exit:  # --help
     code = exit.code
 assert code == 0, code
 """
+
+_REJECTED = """
+from weaver import cli
+try:
+    cli.main({argv!r})
+except SystemExit as exit:
+    assert exit.code == 1, exit.code
+else:
+    raise AssertionError("accepted")
+"""
+
+_SAMPLE = ["sample", "--n", "4", "--p", "1/3"]
 
 
 def _loaded(body: str, module: str) -> bool:
@@ -60,6 +72,26 @@ class TestNoNumpy:
 
     def test_package_import(self):
         assert not _loaded("import weaver", "numpy")
+
+    def test_parents_import(self):
+        assert not _loaded("import weaver.parents", "numpy")
+
+    @pytest.mark.parametrize(
+        "argv", [_SAMPLE, [*_SAMPLE, "--parents", "gauss:0,1;uniform:1,2"]], ids=" ".join
+    )
+    def test_sample_argv_parses_without_numpy(self, argv):
+        # argparse builds the parents, as weaver.parents specs
+        body = f"from weaver import cli\nassert cli.parse_config({argv!r}).parents[1].mean > 0"
+        assert not _loaded(body, "numpy")
+
+    # the specs of tests/test_cli.py::TestUsageErrors::test_rejected_parent_stderr
+    @pytest.mark.parametrize(
+        "spec",
+        ["gauss:0,-1;gauss:1,1", "uniform:1,0;point:1", "bernoulli:2;point:0",
+         "gauss:0,nan;gauss:1,1"],
+    )
+    def test_rejected_spec_exits_1_without_numpy(self, spec):
+        assert not _loaded(_REJECTED.format(argv=[*_SAMPLE, "--parents", spec]), "numpy")
 
     def test_sample_imports_numpy_and_runs(self):
         argv = ["sample", "--n", "4", "--p", "1/3", "--reps", "200", "--seed", "5"]

@@ -1,5 +1,6 @@
 """Parent populations, path sampling, full runs, and Monte Carlo reports."""
 
+import hashlib
 import math
 import sys
 import threading
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from weaver import analysis, parents, sampler
+from weaver import analysis, sampler
 from weaver.errors import CapacityError, ContractError, DegeneracyError, RangeError
 from weaver.exact import DyadicPoint, SelectionPath, WeaverParams, cdf_at_dyadic, pmf_point
 from weaver.parents import (
@@ -74,6 +75,30 @@ class TestParents:
             assert draws.shape == (20000,)
             assert np.mean(draws) == pytest.approx(parent.mean, abs=0.05)
             assert np.var(draws) == pytest.approx(parent.variance, abs=0.1)
+
+    # SHA-256 of draw()'s 1000 float64s (little-endian) from default_rng(19),
+    # captured at commit 06e9a4f, when each family's draw lived in weaver.parents
+    DRAW_DIGESTS = {
+        "point": (point_mass(2.5),
+                  "996bc8d14ad0673408ac4e9c2ab00819e1033db574e56b6ff58a49f33ca02960"),
+        "bernoulli": (bernoulli(0.3),
+                      "42d8edd16c2f9bdf7e4bce1d41660f165c7c5a167456be0260a4aca12218f4e4"),
+        "uniform": (uniform_interval(-1.0, 3.0),
+                    "55f36c5b5cd3430430a5b14110273c9fa9708718b7f8ff03e512d0f1b47b4c4e"),
+        "gauss": (gaussian(5.0, 4.0),
+                  "c0786b32138f3527a17968d0eeef5a2c30e913f1461a299a39ec0a07212f216f"),
+        "gauss-std": (PAIRS["mixed"][0],
+                      "5ad22d6451dea4810fe272354f8625d3989f34dc3c26d11acac9fb7bdffd7f08"),
+        "uniform-std": (PAIRS["mixed"][1],
+                        "5d6f2580309a48c1571a10ed2ddf041fe1522335a19e3505a16a2b3e34cebd1a"),
+    }
+
+    @pytest.mark.parametrize("name", list(DRAW_DIGESTS))
+    def test_draw_matches_digest(self, name):
+        parent, digest = self.DRAW_DIGESTS[name]
+        values = parent.draw(np.random.default_rng(19), 1000)
+        assert values.dtype == np.float64
+        assert hashlib.sha256(values.astype("<f8").tobytes()).hexdigest() == digest
 
     def test_standardize_moves_means_to_zero_and_one(self):
         h0, h1 = standardize_parents(gaussian(3.0, 4.0), gaussian(7.0, 1.0))
@@ -356,7 +381,7 @@ class TestChunkedStreams:
 
     def test_prefix_stability_across_uniform_slabs(self, monkeypatch):
         # cells that straddle a slab boundary sum their pieces the same way
-        monkeypatch.setattr(parents, "UNIFORM_SLAB", 10)
+        monkeypatch.setattr(sampler, "UNIFORM_SLAB", 10)
         h0, h1 = PAIRS["uniform"]
         a = sampler.simulate_mean_ensemble(6, h0, h1, "1/3", 40, seed=9)
         b = sampler.simulate_mean_ensemble(6, h0, h1, "1/3", 57, seed=9)
@@ -365,13 +390,13 @@ class TestChunkedStreams:
     @pytest.mark.parametrize("slab", [1, 7, 64, 1 << 17])
     def test_uniform_totals_against_one_draw(self, monkeypatch, slab):
         # slab by slab equals one reduceat over the whole stream
-        monkeypatch.setattr(parents, "UNIFORM_SLAB", slab)
+        monkeypatch.setattr(sampler, "UNIFORM_SLAB", slab)
         sizes = np.array([1, 2, 4, 8, 16, 3, 1, 32, 5], dtype=np.int64)
-        totals = parents._uniform_totals(np.random.default_rng(3), sizes)
+        totals = sampler._uniform_totals(np.random.default_rng(3), sizes)
         values = np.random.default_rng(3).random(int(sizes.sum()))
         expected = np.add.reduceat(values, np.cumsum(sizes) - sizes)
         assert totals == pytest.approx(expected, rel=1e-14)
-        assert len(parents._uniform_totals(np.random.default_rng(3), sizes[:0])) == 0
+        assert len(sampler._uniform_totals(np.random.default_rng(3), sizes[:0])) == 0
 
     def test_runs_match_the_mean_ensemble(self):
         h0, h1 = PAIRS["mixed"]
@@ -467,23 +492,23 @@ class TestUniformSpans:
     def spans_drawn(self, monkeypatch):
         # records the first draw of every span that _uniform_totals draws
         firsts = []
-        slab_pieces = parents._slab_pieces
+        slab_pieces = sampler._slab_pieces
 
         def recorded(rng, starts, lo, hi):
             firsts.append(lo)
             return slab_pieces(rng, starts, lo, hi)
 
-        monkeypatch.setattr(parents, "_slab_pieces", recorded)
+        monkeypatch.setattr(sampler, "_slab_pieces", recorded)
         return firsts
 
     @pytest.mark.parametrize("slab", [1, 7, 64])
     @pytest.mark.parametrize("spans", [1, 2, 3])
     def test_spans_match_one_pass(self, monkeypatch, spans_drawn, slab, spans):
-        monkeypatch.setattr(parents, "UNIFORM_SLAB", slab)
-        monkeypatch.setattr(parents, "_span_count", lambda slabs: min(spans, slabs))
+        monkeypatch.setattr(sampler, "UNIFORM_SLAB", slab)
+        monkeypatch.setattr(sampler, "_span_count", lambda slabs: min(spans, slabs))
         split, single = np.random.default_rng(11), np.random.default_rng(11)
         threads = threading.active_count()
-        totals = parents._uniform_totals(split, self.SIZES)
+        totals = sampler._uniform_totals(split, self.SIZES)
         assert np.array_equal(totals, _one_pass_totals(single, self.SIZES, slab))
         assert split.bit_generator.state == single.bit_generator.state
         assert threading.active_count() == threads
@@ -494,15 +519,15 @@ class TestUniformSpans:
     def test_more_spans_than_cores_under_fast_switching(self, monkeypatch):
         # eight spans on short slabs, with the interpreter switching threads
         # every microsecond: no span's pieces may be lost or misplaced
-        monkeypatch.setattr(parents, "UNIFORM_SLAB", 3)
-        monkeypatch.setattr(parents, "_span_count", lambda slabs: min(8, slabs))
+        monkeypatch.setattr(sampler, "UNIFORM_SLAB", 3)
+        monkeypatch.setattr(sampler, "_span_count", lambda slabs: min(8, slabs))
         sizes = np.tile(self.SIZES, 20)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for seed in range(5):
                 split, single = np.random.default_rng(seed), np.random.default_rng(seed)
-                totals = parents._uniform_totals(split, sizes)
+                totals = sampler._uniform_totals(split, sizes)
                 assert np.array_equal(totals, _one_pass_totals(single, sizes, 3))
                 assert split.bit_generator.state == single.bit_generator.state
         finally:
@@ -510,9 +535,9 @@ class TestUniformSpans:
 
     @pytest.mark.parametrize("failing", [0, 1, 2], ids=["caller", "worker", "last-worker"])
     def test_span_error_reaches_the_caller(self, monkeypatch, failing):
-        monkeypatch.setattr(parents, "UNIFORM_SLAB", 7)
-        monkeypatch.setattr(parents, "_span_count", lambda slabs: min(3, slabs))
-        slab_pieces = parents._slab_pieces
+        monkeypatch.setattr(sampler, "UNIFORM_SLAB", 7)
+        monkeypatch.setattr(sampler, "_span_count", lambda slabs: min(3, slabs))
+        slab_pieces = sampler._slab_pieces
         firsts = [0, 13 * 7, 27 * 7]  # 41 slabs in 3 spans
 
         def pieces(rng, starts, lo, hi):
@@ -520,19 +545,19 @@ class TestUniformSpans:
                 raise ValueError(f"span at {lo}")
             return slab_pieces(rng, starts, lo, hi)
 
-        monkeypatch.setattr(parents, "_slab_pieces", pieces)
+        monkeypatch.setattr(sampler, "_slab_pieces", pieces)
         threads = threading.active_count()
         with pytest.raises(ValueError, match=f"span at {firsts[failing]}"):
-            parents._uniform_totals(np.random.default_rng(11), self.SIZES)
+            sampler._uniform_totals(np.random.default_rng(11), self.SIZES)
         assert threading.active_count() == threads
 
     def test_span_count(self):
-        assert parents._span_count(1) == 1
-        assert 1 <= parents._span_count(1 << 20) <= 2
+        assert sampler._span_count(1) == 1
+        assert 1 <= sampler._span_count(1 << 20) <= 2
 
     def test_one_slab_draws_on_the_calling_thread(self, spans_drawn):
         threads = threading.active_count()
-        parents._uniform_totals(np.random.default_rng(11), self.SIZES)
+        sampler._uniform_totals(np.random.default_rng(11), self.SIZES)
         assert spans_drawn == [0]
         assert threading.active_count() == threads
 
@@ -587,7 +612,8 @@ class TestBlockSums:
     )
     def test_closed_form_moments(self, parent):
         m, cells = self.SIZE, self.CELLS
-        sums = parent.block_sums(np.random.default_rng(21), np.full(cells, m, dtype=np.int64))
+        sizes = np.full(cells, m, dtype=np.int64)
+        sums = sampler._parent_sums(parent, np.random.default_rng(21), sizes)
         assert sums.shape == (cells,)
         assert abs(np.mean(sums) - m * parent.mean) < 4 * math.sqrt(m * parent.variance / cells)
         assert np.var(sums, ddof=1) == pytest.approx(m * parent.variance, rel=0.05)
@@ -595,10 +621,10 @@ class TestBlockSums:
     def test_point_mass_is_exact(self):
         sizes = np.array([1, 2, 4, 1024], dtype=np.int64)
         rng = np.random.default_rng(0)
-        assert point_mass(2.5).block_sums(rng, sizes).tolist() == [2.5, 5.0, 10.0, 2560.0]
+        assert sampler._parent_sums(point_mass(2.5), rng, sizes).tolist() == [2.5, 5.0, 10.0, 2560.0]
         h0, h1 = STANDARD
-        assert h1.block_sums(rng, sizes).tolist() == [1.0, 2.0, 4.0, 1024.0]
-        assert h0.block_sums(rng, sizes).tolist() == [0.0] * 4
+        assert sampler._parent_sums(h1, rng, sizes).tolist() == [1.0, 2.0, 4.0, 1024.0]
+        assert sampler._parent_sums(h0, rng, sizes).tolist() == [0.0] * 4
 
     @pytest.mark.parametrize(
         "parent", [uniform_interval(-1.0, 3.0), PAIRS["mixed"][1], gaussian(1.0, 2.0)]
@@ -606,6 +632,7 @@ class TestBlockSums:
     def test_against_summed_draws(self, parent):
         # two-sample KS of block sums against sums of individual draws
         m, cells = 16, 4000
-        sums = parent.block_sums(np.random.default_rng(5), np.full(cells, m, dtype=np.int64))
+        sizes = np.full(cells, m, dtype=np.int64)
+        sums = sampler._parent_sums(parent, np.random.default_rng(5), sizes)
         drawn = parent.draw(np.random.default_rng(6), m * cells).reshape(cells, m).sum(axis=1)
         assert scipy.stats.ks_2samp(sums, drawn).pvalue > 0.001

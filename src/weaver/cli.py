@@ -1,5 +1,10 @@
 """Command-line front end: exact tables and Monte Carlo reports as CSV or JSON.
 
+Each command is declared once, in the command table ``_COMMANDS``: its
+help text, its row builder, and its flags.  The parser is built from
+that table and :func:`main` dispatches through it, so a new command or
+flag is one entry there.
+
 Every table declares its columns before its rows, each column scalar or
 rational.  A rational is written twice, as an exact fraction string and
 as a binary64 approximation: the exact column feeds tests and
@@ -86,58 +91,12 @@ def build_parser() -> _Parser:
         description="Exact tables and Monte Carlo reports of the weaving cascade W(n, p).",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    for name, (help_text, _, flags) in _COMMANDS.items():
         sub = commands.add_parser(name, help=help_text)
         sub.add_argument("--format", choices=("csv", "json"), default="csv")
         sub.add_argument("--output", default="-", help="output path, '-' for stdout")
-        return sub
-
-    sub = add("pmf", "exact probability mass function over all leaves")
-    sub.add_argument("--n", type=_positive_int, required=True)
-    sub.add_argument("--p", type=_parse_probability, required=True)
-
-    sub = add("cdf", "exact distribution function on the dyadic grid")
-    sub.add_argument("--n", type=_positive_int, required=True)
-    sub.add_argument("--p", type=_parse_probability, required=True)
-    sub.add_argument(
-        "--resolution",
-        type=_positive_int,
-        default=None,
-        help="dyadic grid resolution (defaults to --n)",
-    )
-
-    sub = add("triangle", "exponent triangle row (one-bit counts per leaf)")
-    sub.add_argument("--n", type=_non_negative_int, required=True)
-
-    sub = add("moments", "closed-form variance and exact raw moments")
-    sub.add_argument("--n", type=_positive_int, required=True)
-    sub.add_argument("--p", type=_parse_probability, required=True)
-    sub.add_argument("--max-order", type=_positive_int, default=4)
-
-    sub = add("decompose", "weaving/merging variance split for depths 1..n")
-    sub.add_argument("--n", type=_positive_int, required=True)
-
-    sub = add("sample", "Monte Carlo moment report for exponential sampling")
-    sub.add_argument("--n", type=_positive_int, required=True)
-    sub.add_argument("--p", type=_parse_probability, required=True)
-    sub.add_argument(
-        "--parents",
-        type=_parse_parent_pair,
-        default="point:0;point:1",
-        help="pair of populations, e.g. 'gauss:0,1;gauss:1,1'",
-    )
-    sub.add_argument("--reps", type=_positive_int, default=10000)
-    sub.add_argument("--seed", type=_non_negative_int, default=0)
-
-    sub = add("converge", "variance ratio against its limit 1/3 for depths 1..n")
-    sub.add_argument("--n", type=_positive_int, default=40)
-    sub.add_argument("--p", type=_parse_probability, required=True)
-
-    sub = add("density", "piecewise cell densities of the halving cascade")
-    sub.add_argument("--n", type=_positive_int, required=True)
-    sub.add_argument("--p", type=_parse_probability, required=True)
-
+        for flag, options in flags:
+            sub.add_argument(flag, **options)
     return parser
 
 
@@ -393,19 +352,15 @@ def _cdf_rows(args: argparse.Namespace) -> _Table:
     params = WeaverParams(n=args.n, p=args.p)
     resolution = args.resolution if args.resolution is not None else args.n
     # the grid's checks run at this call, so a refused table writes
-    # nothing, and its iterator feeds the first rows read from k = 0; any
-    # other range reads a grid from its own first k.  Every F is t / d**m
-    # with 0 <= t <= d**m, and F at 1/2**m is in lowest terms
-    sums, denominator = exact.cdf_grid(params, resolution)
+    # nothing; each range of rows reads a grid from its own first k.
+    # Every F is t / d**m with 0 <= t <= d**m, and F at 1/2**m is in
+    # lowest terms
+    denominator = exact.cdf_grid(params, resolution)[1]
     _check_digits([denominator])
     scale = 1 << resolution
-    unread = {0: sums}
 
     def rows(start: int, stop: int) -> Iterator[tuple[str, ...]]:
-        if start in unread:
-            grid = unread.pop(start)
-        else:
-            grid = exact.cdf_grid(params, resolution, start)[0]
+        grid = exact.cdf_grid(params, resolution, start)[0]
         for k, total in zip(range(start, stop), grid):
             yield (str(k), *_rational(k, scale), *_rational(total, denominator))
 
@@ -496,22 +451,46 @@ def _density_rows(args: argparse.Namespace) -> _Table:
     return _Table([("k", False), ("left", True), ("right", True), ("density", True)], scale, rows)
 
 
-_ROW_BUILDERS = {
-    "pmf": _pmf_rows,
-    "cdf": _cdf_rows,
-    "triangle": _triangle_rows,
-    "moments": _moments_rows,
-    "decompose": _decompose_rows,
-    "sample": _sample_rows,
-    "converge": _converge_rows,
-    "density": _density_rows,
+# the two flags that most commands share
+_N = ("--n", dict(type=_positive_int, required=True))
+_P = ("--p", dict(type=_parse_probability, required=True))
+
+#: Every command: its help text, its row builder, and its flags after
+#: --format and --output, in --help order, each as its name and its
+#: add_argument keywords.  build_parser and main both read this table.
+_COMMANDS = {
+    "pmf": ("exact probability mass function over all leaves", _pmf_rows, [_N, _P]),
+    "cdf": ("exact distribution function on the dyadic grid", _cdf_rows, [
+        _N,
+        _P,
+        ("--resolution", dict(type=_positive_int, help="dyadic grid resolution (defaults to --n)")),
+    ]),
+    "triangle": ("exponent triangle row (one-bit counts per leaf)", _triangle_rows, [
+        ("--n", dict(type=_non_negative_int, required=True)),
+    ]),
+    "moments": ("closed-form variance and exact raw moments", _moments_rows, [
+        _N, _P, ("--max-order", dict(type=_positive_int, default=4)),
+    ]),
+    "decompose": ("weaving/merging variance split for depths 1..n", _decompose_rows, [_N]),
+    "sample": ("Monte Carlo moment report for exponential sampling", _sample_rows, [
+        _N,
+        _P,
+        ("--parents", dict(type=_parse_parent_pair, default="point:0;point:1",
+                           help="pair of populations, e.g. 'gauss:0,1;gauss:1,1'")),
+        ("--reps", dict(type=_positive_int, default=10000)),
+        ("--seed", dict(type=_non_negative_int, default=0)),
+    ]),
+    "converge": ("variance ratio against its limit 1/3 for depths 1..n", _converge_rows, [
+        ("--n", dict(type=_positive_int, default=40)), _P,
+    ]),
+    "density": ("piecewise cell densities of the halving cascade", _density_rows, [_N, _P]),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     args = parse_config(sys.argv[1:] if argv is None else argv)
     try:
-        rows = _ROW_BUILDERS[args.command](args)
+        rows = _COMMANDS[args.command][1](args)
         return emit_table(rows, args.format, args.output)
     except WeaverError as err:
         print(f"weaver: error: {err}", file=sys.stderr)

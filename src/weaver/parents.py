@@ -26,7 +26,7 @@ STANDARDIZATION_TOL = 1e-12
 _FAMILIES: dict[str, tuple[Callable[..., float], Callable[..., float]]] = {
     "point-mass": (lambda c: c, lambda c: 0.0),
     "bernoulli": (lambda q: q, lambda q: q * (1.0 - q)),
-    "uniform-interval": (lambda a, b: 0.5 * (a + b), lambda a, b: (b - a) ** 2 / 12.0),
+    "uniform-interval": (lambda a, b: 0.5 * (a + b), lambda a, b: (b - a) * (b - a) / 12.0),
     "gaussian": (lambda mu, var: mu, lambda mu, var: var),
 }
 
@@ -65,10 +65,7 @@ class ParentDistribution:
         """Draw ``size`` iid observations from a numpy Generator as a float64 array."""
         from weaver.sampler import _SAMPLERS
 
-        base = _SAMPLERS[self.family].draw(rng, size, *self.params)
-        if self.scale == 1.0 and self.shift == 0.0:
-            return base
-        return base * self.scale + self.shift
+        return _SAMPLERS[self.family].draw(rng, size, *self.params) * self.scale + self.shift
 
 
 def point_mass(c: float) -> ParentDistribution:

@@ -285,8 +285,6 @@ def _parent_sums(
     """For each block size m in ``sizes``, the sum of m iid observations
     of ``parent``: its family's block sums, under its affine map."""
     base = _SAMPLERS[parent.family].block_sums(rng, sizes, *parent.params)
-    if parent.scale == 1.0 and parent.shift == 0.0:
-        return base
     return base * parent.scale + sizes * parent.shift
 
 
@@ -459,8 +457,8 @@ def monte_carlo_moments(
             f"at least 100 replications are needed for a moment report, got {replications}"
         )
     p = _check_probability(p)
-    means = simulate_mean_ensemble(n, h0, h1, p, replications, seed)
     with np.errstate(over="ignore", invalid="ignore"):
+        means = simulate_mean_ensemble(n, h0, h1, p, replications, seed)
         empirical_mean = float(np.mean(means))
         empirical_variance = float(np.var(means, ddof=1))
     exact_mean = p

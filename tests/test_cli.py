@@ -137,7 +137,7 @@ class TestRendering:
         # the 2**n tables from their oracle rows; the small list tables are
         # dict rows already, so for them the renderers check the layout
         args = cli.parse_config(list(argv))
-        rows = ORACLE_ROWS.get(args.command, cli._ROW_BUILDERS[args.command])(args)
+        rows = ORACLE_ROWS.get(args.command, cli._COMMANDS[args.command][1])(args)
         return ORACLES[format](rows)
 
     @pytest.mark.parametrize("format", ["csv", "json"])
@@ -187,7 +187,7 @@ class TestRowView:
     )
     def test_sized_and_reiterable(self, argv, count):
         args = cli.parse_config(list(argv))
-        table = cli._ROW_BUILDERS[args.command](args)
+        table = cli._COMMANDS[args.command][1](args)
         oracle = ORACLE_ROWS[args.command](args)
         assert len(table) == len(oracle) == count
         assert list(table.columns) == [
@@ -214,7 +214,7 @@ class TestNoStoredRow:
     }
 
     def test_tables_never_build_the_row(self, capsys, monkeypatch):
-        assert set(self.ARGV) == set(cli._ROW_BUILDERS)
+        assert set(self.ARGV) == set(cli._COMMANDS)
         normal = {command: run_cli(capsys, command, *argv) for command, argv in self.ARGV.items()}
 
         def refuse(n):
@@ -517,7 +517,8 @@ class TestCdfCommand:
 
     @pytest.mark.parametrize("format", ["csv", "json"])
     def test_one_grid_per_table(self, capsys, monkeypatch, format):
-        # the grid's checks and the rows share one call; no header pass
+        # one call runs the grid's checks and gives the denominator before
+        # the first byte; the rows read one grid from their first k
         calls = []
         grid = exact.cdf_grid
 
@@ -529,7 +530,8 @@ class TestCdfCommand:
         argv = ("cdf", "--n", "5", "--p", "1/3", "--resolution", "4", "--format", format)
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert len(calls) == 1
+        params = WeaverParams(n=5, p=Fraction(1, 3))
+        assert calls == [(params, 4), (params, 4, 0)]
         monkeypatch.undo()
         assert run_cli(capsys, *argv) == (0, out, "")
 
@@ -652,6 +654,67 @@ class TestHelp:
         text = " ".join(capsys.readouterr().out.split())  # argparse refolds lines
         for line in cli.__doc__.splitlines()[1:]:
             assert not line.strip() or " ".join(line.split()) not in text
+
+
+class TestParserBytes:
+    """The parser's texts at 80 columns, byte for byte: --help of weaver
+    and of each command, and the whole stderr of usage errors."""
+
+    HELP_DIGESTS = {
+        (): "180947cbc3b7cdcfc9e9a2facd850c47a4c60d8a46a6b26f75b66bf75c634c8c",
+        ("pmf",): "39d880aa0cff8f516d30ec2c16975ce9d5a4c3b75938657b2d152ec6b90203e1",
+        ("cdf",): "32b431fce34efc21014a98353e10af5dbce9250f5986270ba3320cb91f713bbd",
+        ("triangle",): "a4017de1b2859e13523f96ac97b6b6fc14a18273f6771c597d8df3f173943840",
+        ("moments",): "58d8182c2a159bed65d1d3e9fc54087825f7b7358917cc4dc53e37f9fb45770c",
+        ("decompose",): "d5cfe067d445252b08d542b8b8e4e85ee55c3383bc11151933faef7dc18fe9a8",
+        ("sample",): "f19381188e404ad1a88659fa73c7dc1817eeec66c15df71729bf27b77b736c68",
+        ("converge",): "140d7d9baed19c9582d4ed1703fd875ff75334922303afecbb25c65415e38dd9",
+        ("density",): "127b19f6351289c24030144ebda9e004940a6298b911399d8a0037b07dce6044",
+    }
+
+    _PMF = "usage: weaver pmf [-h] [--format {csv,json}] [--output OUTPUT] --n N --p P\n"
+    USAGE_ERRORS = {
+        ("pmf", "--n", "x"):
+            _PMF + "weaver pmf: error: argument --n: invalid _positive_int value: 'x'\n",
+        ("pmf", "--n", "0"):
+            _PMF + "weaver pmf: error: argument --n: expected a positive integer, got 0\n",
+        ("triangle", "--n", "-1"):
+            "usage: weaver triangle [-h] [--format {csv,json}] [--output OUTPUT] --n N\n"
+            "weaver triangle: error: argument --n: expected a non-negative integer, got -1\n",
+        ("moments", "--max-order", "0"):
+            "usage: weaver moments [-h] [--format {csv,json}] [--output OUTPUT] --n N --p P\n"
+            "                      [--max-order MAX_ORDER]\n"
+            "weaver moments: error: argument --max-order: expected a positive integer, got 0\n",
+        ("cdf", "--resolution", "x"):
+            "usage: weaver cdf [-h] [--format {csv,json}] [--output OUTPUT] --n N --p P\n"
+            "                  [--resolution RESOLUTION]\n"
+            "weaver cdf: error: argument --resolution: invalid _positive_int value: 'x'\n",
+        ("pmf", "--n", "3"):
+            _PMF + "weaver pmf: error: the following arguments are required: --p\n",
+        ("bogus",):
+            "usage: weaver [-h]\n"
+            "              {pmf,cdf,triangle,moments,decompose,sample,converge,density} ...\n"
+            "weaver: error: argument command: invalid choice: 'bogus' (choose from 'pmf', "
+            "'cdf', 'triangle', 'moments', 'decompose', 'sample', 'converge', 'density')\n",
+    }
+
+    @pytest.mark.parametrize("command", HELP_DIGESTS, ids=lambda argv: " ".join(argv) or "weaver")
+    def test_help(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to it
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([*command, "--help"])
+        assert excinfo.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == self.HELP_DIGESTS[command]
+
+    @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+    def test_usage_error(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(list(argv))
+        assert excinfo.value.code == 1
+        assert capsys.readouterr() == ("", self.USAGE_ERRORS[argv])
 
 
 class TestUsageErrors:
@@ -792,6 +855,37 @@ class TestRuntimeErrors:
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("weaver: error: empirical_variance is inf")
+
+    # uniform intervals whose variance overflows binary64; the last one
+    # overflows numpy's block sums too
+    OVERFLOWING_UNIFORMS = [
+        "uniform:-1e200,1e200;point:1",
+        "uniform:0,1e200;uniform:1e200,2e200",
+        "uniform:-1e308,1e308;point:1",
+    ]
+
+    @pytest.mark.parametrize("spec", OVERFLOWING_UNIFORMS)
+    def test_overflowing_uniform_exit_2(self, capsys, spec):
+        code, out, err = run_cli(
+            capsys, "sample", "--n", "3", "--p", "1/2", "--reps", "100", "--parents", spec,
+        )
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.startswith("weaver: error: ")
+        assert err.endswith("overflows binary64\n")
+
+    def test_overflowing_uniform_real_stderr(self):
+        # pytest records warnings rather than printing them, so the real
+        # stderr is read from a process of its own
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        run = subprocess.run(
+            [sys.executable, "-m", "weaver", "sample", "--n", "3", "--p", "1/2", "--reps", "100",
+             "--parents", self.OVERFLOWING_UNIFORMS[-1]],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert (run.returncode, run.stdout) == (2, b"")
+        assert run.stderr.count(b"\n") == 1
+        assert run.stderr.endswith(b"overflows binary64\n")
 
     def test_vanishing_standard_error_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "sample", "--n", "3", "--reps", "100", "--p", "1e-400")
@@ -954,6 +1048,7 @@ _FLAG_VALUES = {
             "point:0;point:1", "gauss:0,1;gauss:1,1", "bernoulli:0.2;bernoulli:0.7",
             "uniform:0,1;uniform:1,2", "gauss:0,1e308;gauss:1,1e308", "point:1;point:1",
             "point:0;point:1e-320", "point:1e308;point:-1e308",
+            "uniform:-1e200,1e200;point:1",
         ],
         [
             "uniform:1,0;point:1", "bernoulli:2;point:0", "gauss:0,nan;gauss:1,1",

@@ -4,9 +4,10 @@ Four finite-variance families are supported: point masses, Bernoulli,
 uniform intervals, and Gaussians.  A population is its family, the
 family's parameters, and an optional affine wrapping, so that the
 standardizing transform stays inside the type; its mean and variance
-are closed forms.  The command line's spec syntax (``gauss:0,1``, and
-two specs joined by ``;``) is parsed here.  Nothing here needs numpy:
-every draw comes from :mod:`weaver.sampler`.
+are closed forms, and every construction checks the family's parameter
+count and range.  The command line's spec syntax (``gauss:0,1``, and two
+specs joined by ``;``) is parsed here.  Nothing here needs numpy: every
+draw is a block sum of :mod:`weaver.sampler`, one sampler per family.
 """
 
 from __future__ import annotations
@@ -22,12 +23,22 @@ from weaver.errors import DegeneracyError, RangeError
 STANDARDIZATION_TOL = 1e-12
 
 
-# each base family's closed-form mean and variance, over its params
-_FAMILIES: dict[str, tuple[Callable[..., float], Callable[..., float]]] = {
-    "point-mass": (lambda c: c, lambda c: 0.0),
-    "bernoulli": (lambda q: q, lambda q: q * (1.0 - q)),
-    "uniform-interval": (lambda a, b: 0.5 * (a + b), lambda a, b: (b - a) * (b - a) / 12.0),
-    "gaussian": (lambda mu, var: mu, lambda mu, var: var),
+# each base family: its parameter count, and over its params the closed-form
+# mean and variance and the message for params outside its range ("" inside)
+_FAMILIES: dict[str, tuple[int, Callable[..., float], Callable[..., float], Callable[..., str]]] = {
+    "point-mass": (1, lambda c: c, lambda c: 0.0, lambda c: ""),
+    "bernoulli": (
+        1, lambda q: q, lambda q: q * (1.0 - q),
+        lambda q: "" if 0.0 <= q <= 1.0 else f"bernoulli parameter must lie in [0, 1], got {q}",
+    ),
+    "uniform-interval": (
+        2, lambda a, b: 0.5 * (a + b), lambda a, b: (b - a) * (b - a) / 12.0,
+        lambda a, b: "" if a < b else f"uniform interval needs a < b, got ({a}, {b})",
+    ),
+    "gaussian": (
+        2, lambda mu, var: mu, lambda mu, var: var,
+        lambda mu, var: f"variance must be non-negative, got {var}" if var < 0.0 else "",
+    ),
 }
 
 
@@ -36,8 +47,9 @@ class ParentDistribution:
     """One population, as ``scale * X + shift`` over a base family.
 
     ``params`` are the natural parameters of the base family:
-    point-mass ``(c,)``, bernoulli ``(q,)``, uniform-interval ``(a, b)``
-    with a < b, gaussian ``(mean, variance)``; all must be finite.
+    point-mass ``(c,)``, bernoulli ``(q,)`` with q in [0, 1],
+    uniform-interval ``(a, b)`` with a < b, gaussian ``(mean, variance)``
+    with variance >= 0; all must be finite, or :class:`RangeError` is raised.
     """
 
     family: str
@@ -50,22 +62,31 @@ class ParentDistribution:
             raise RangeError(
                 f"unknown family {self.family!r}; expected one of {tuple(_FAMILIES)}"
             )
+        arity, _, _, range_error = _FAMILIES[self.family]
+        if len(self.params) != arity:
+            raise RangeError(f"{self.family} takes {arity} parameter(s), got {len(self.params)}")
+        # the range first: a NaN probability is reported as outside [0, 1]
+        if message := range_error(*self.params):
+            raise RangeError(message)
         if not all(math.isfinite(value) for value in self.params):
             raise RangeError(f"{self.family} parameters must be finite, got {self.params}")
 
     @property
     def mean(self) -> float:
-        return self.scale * _FAMILIES[self.family][0](*self.params) + self.shift
+        return self.scale * _FAMILIES[self.family][1](*self.params) + self.shift
 
     @property
     def variance(self) -> float:
-        return self.scale * self.scale * _FAMILIES[self.family][1](*self.params)
+        return self.scale * self.scale * _FAMILIES[self.family][2](*self.params)
 
     def draw(self, rng: Any, size: int) -> Any:
-        """Draw ``size`` iid observations from a numpy Generator as a float64 array."""
-        from weaver.sampler import _SAMPLERS
+        """Draw ``size`` iid observations from a numpy Generator as a float64
+        array: the block sums of ``size`` blocks of one observation."""
+        import numpy as np
 
-        return _SAMPLERS[self.family].draw(rng, size, *self.params) * self.scale + self.shift
+        from weaver.sampler import _parent_sums
+
+        return _parent_sums(self, rng, np.ones(size, dtype=np.int64))
 
 
 def point_mass(c: float) -> ParentDistribution:
@@ -73,38 +94,32 @@ def point_mass(c: float) -> ParentDistribution:
 
 
 def bernoulli(q: float) -> ParentDistribution:
-    if not 0.0 <= q <= 1.0:
-        raise RangeError(f"bernoulli parameter must lie in [0, 1], got {q}")
     return ParentDistribution("bernoulli", (float(q),))
 
 
 def uniform_interval(a: float, b: float) -> ParentDistribution:
-    if not a < b:
-        raise RangeError(f"uniform interval needs a < b, got ({a}, {b})")
     return ParentDistribution("uniform-interval", (float(a), float(b)))
 
 
 def gaussian(mean: float, variance: float) -> ParentDistribution:
-    if variance < 0.0:
-        raise RangeError(f"variance must be non-negative, got {variance}")
     return ParentDistribution("gaussian", (float(mean), float(variance)))
 
 
-# family name in a parent spec: (its factory, its parameter count)
+# family name in a parent spec: its base family
 _SPEC_FAMILIES = {
-    "point": (point_mass, 1),
-    "pointmass": (point_mass, 1),
-    "point-mass": (point_mass, 1),
-    "bernoulli": (bernoulli, 1),
-    "uniform": (uniform_interval, 2),
-    "uniform-interval": (uniform_interval, 2),
-    "gauss": (gaussian, 2),
-    "gaussian": (gaussian, 2),
+    "point": "point-mass",
+    "pointmass": "point-mass",
+    "point-mass": "point-mass",
+    "bernoulli": "bernoulli",
+    "uniform": "uniform-interval",
+    "uniform-interval": "uniform-interval",
+    "gauss": "gaussian",
+    "gaussian": "gaussian",
 }
 
 
 def _parse_spec(spec: str) -> ParentDistribution:
-    """The population of one spec ``family:a,b``, built by its family's factory."""
+    """The population of one spec ``family:a,b``."""
     name, _, arg_text = spec.partition(":")
     key = name.strip().lower()
     if key not in _SPEC_FAMILIES:
@@ -112,14 +127,15 @@ def _parse_spec(spec: str) -> ParentDistribution:
             f"unknown parent family {name!r}; expected one of "
             "point:c, bernoulli:q, uniform:a,b, gauss:mean,variance"
         )
-    factory, arity = _SPEC_FAMILIES[key]
+    family = _SPEC_FAMILIES[key]
+    arity = _FAMILIES[family][0]
     try:
         args = [float(a) for a in arg_text.split(",")] if arg_text else []
     except ValueError:
         raise RangeError(f"bad numeric parameters in parent spec {spec!r}") from None
     if len(args) != arity:
         raise RangeError(f"parent family {name!r} takes {arity} parameter(s), got {len(args)}")
-    return factory(*args)
+    return ParentDistribution(family, tuple(args))
 
 
 def _parse_pair(text: str) -> tuple[ParentDistribution, ParentDistribution]:

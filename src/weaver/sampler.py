@@ -22,8 +22,8 @@ of ``run_ensemble``, and ``run_from_path`` reads chunk 0's block-sum
 streams for the path it is given.
 
 This is the one module that imports numpy.  A parent population of
-:mod:`weaver.parents` is only a spec; every draw from it comes from the
-table of per-family samplers here.
+:mod:`weaver.parents` is only a spec; every draw from it is a block sum
+here, from its family's one sampler (a single draw is a block of one).
 """
 
 from __future__ import annotations
@@ -237,44 +237,22 @@ def _uniform_totals(rng: np.random.Generator, sizes: np.ndarray) -> np.ndarray:
     return totals
 
 
-@dataclass(frozen=True)
-class _Sampler:
-    """Draws of one base family of :mod:`weaver.parents`, over its ``params``.
-
-    ``draw(rng, size, *params)`` returns ``size`` observations;
-    ``block_sums(rng, sizes, *params)`` returns, for each entry m of
-    ``sizes``, the sum of m observations drawn from its sufficient
-    statistic (m*c, a binomial count, a Gaussian with mean m*mu and
-    spread sqrt(m)*sigma), so a block costs one draw at most.  Uniform
-    blocks add up raw draws, on up to two threads with the same sums as
-    on one (``_uniform_totals``).  Cells consume the stream in order, so
-    the sums of a prefix of ``sizes`` do not depend on what follows it.
-    """
-
-    draw: Callable[..., np.ndarray]
-    block_sums: Callable[..., np.ndarray]
-
-
-_SAMPLERS = {
-    "point-mass": _Sampler(
-        draw=lambda rng, size, c: np.full(size, c, dtype=np.float64),
-        block_sums=lambda rng, sizes, c: sizes * c,
-    ),
-    "bernoulli": _Sampler(
-        draw=lambda rng, size, q: (rng.random(size) < q).astype(np.float64),
-        block_sums=lambda rng, sizes, q: rng.binomial(sizes, q).astype(np.float64),
-    ),
-    "uniform-interval": _Sampler(
-        draw=lambda rng, size, a, b: rng.uniform(a, b, size),
-        block_sums=lambda rng, sizes, a, b: a * sizes + (b - a) * _uniform_totals(rng, sizes),
-    ),
+# the one sampler of each base family of weaver.parents: called as
+# (rng, sizes, *params), it returns for each entry m of sizes the sum of
+# m observations drawn from its sufficient statistic (m*c, a binomial
+# count, a Gaussian with mean m*mu and spread sqrt(m)*sigma), so a block
+# costs one draw at most.  Uniform blocks add up raw draws, on up to two
+# threads with the same sums as on one (_uniform_totals).  Cells consume
+# the stream in order, so the sums of a prefix of sizes do not depend on
+# what follows it.
+_BLOCK_SUMS: dict[str, Callable[..., np.ndarray]] = {
+    "point-mass": lambda rng, sizes, c: sizes * c,
+    "bernoulli": lambda rng, sizes, q: rng.binomial(sizes, q).astype(np.float64),
+    "uniform-interval": lambda rng, sizes, a, b: a * sizes + (b - a) * _uniform_totals(rng, sizes),
     # sqrt(m) * sigma rather than sqrt(m * var): a spread that only
     # overflows in the moments must not already overflow in the draws
-    "gaussian": _Sampler(
-        draw=lambda rng, size, mu, var: rng.normal(mu, sqrt(var), size),
-        block_sums=lambda rng, sizes, mu, var: (
-            mu * sizes + np.sqrt(sizes) * sqrt(var) * rng.standard_normal(len(sizes))
-        ),
+    "gaussian": lambda rng, sizes, mu, var: (
+        mu * sizes + np.sqrt(sizes) * sqrt(var) * rng.standard_normal(len(sizes))
     ),
 }
 
@@ -284,7 +262,7 @@ def _parent_sums(
 ) -> np.ndarray:
     """For each block size m in ``sizes``, the sum of m iid observations
     of ``parent``: its family's block sums, under its affine map."""
-    base = _SAMPLERS[parent.family].block_sums(rng, sizes, *parent.params)
+    base = _BLOCK_SUMS[parent.family](rng, sizes, *parent.params)
     return base * parent.scale + sizes * parent.shift
 
 

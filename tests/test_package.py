@@ -3,6 +3,7 @@ and weaver.analysis only with the tables that use it."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -147,3 +148,23 @@ class TestReadme:
         blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.DOTALL)
         assert len(blocks) == 1
         exec(blocks[0], {})
+
+    # each `weaver ...` line of the "Command line" block, without its comment
+    _COMMANDS = re.findall(
+        r"^weaver (.*?)(?:\s+#.*)?$",
+        re.search(r"## Command line\n.*?```sh\n(.*?)```", (ROOT / "README.md").read_text(),
+                  re.DOTALL).group(1),
+        re.MULTILINE,
+    )
+
+    def test_command_line_examples_found(self):
+        assert len(self._COMMANDS) == 8
+
+    @pytest.mark.parametrize("command", _COMMANDS)
+    def test_command_line_example_runs(self, tmp_path, command):
+        result = subprocess.run(
+            [sys.executable, "-m", "weaver", *shlex.split(command)],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        )
+        assert result.returncode == 0, result.stderr

@@ -15,6 +15,7 @@ from weaver import analysis, sampler
 from weaver.errors import CapacityError, ContractError, DegeneracyError, RangeError
 from weaver.exact import DyadicPoint, SelectionPath, WeaverParams, cdf_at_dyadic, pmf_point
 from weaver.parents import (
+    ParentDistribution,
     bernoulli,
     gaussian,
     is_standardized,
@@ -35,6 +36,17 @@ PAIRS = {
 }
 
 
+def numpy_draw(parent, rng, size):
+    """``size`` observations of a point, uniform or Gaussian ``parent``,
+    drawn by numpy directly and put through the parent's affine map."""
+    direct = {
+        "point-mass": lambda c: np.full(size, c),
+        "uniform-interval": lambda a, b: rng.uniform(a, b, size),
+        "gaussian": lambda mu, var: rng.normal(mu, math.sqrt(var), size),
+    }
+    return direct[parent.family](*parent.params) * parent.scale + parent.shift
+
+
 class TestParents:
     def test_moments(self):
         assert point_mass(3.0).mean == 3.0
@@ -53,6 +65,25 @@ class TestParents:
             uniform_interval(2.0, 2.0)
         with pytest.raises(RangeError):
             gaussian(0.0, -1.0)
+
+    @pytest.mark.parametrize(
+        "family, params, message",
+        [
+            ("bernoulli", (1.5,), r"must lie in \[0, 1\], got 1.5"),
+            ("gaussian", (0.0, -1.0), "variance must be non-negative, got -1.0"),
+            ("point-mass", (1.0, 2.0), r"point-mass takes 1 parameter\(s\), got 2"),
+            ("bernoulli", (), r"bernoulli takes 1 parameter\(s\), got 0"),
+            ("uniform-interval", (2.0, 1.0), r"needs a < b, got \(2.0, 1.0\)"),
+        ],
+        ids=["bernoulli-q", "gauss-variance", "point-count", "bernoulli-count", "uniform-order"],
+    )
+    def test_direct_construction_is_validated(self, family, params, message):
+        with pytest.raises(RangeError, match=message):
+            ParentDistribution(family, params)
+
+    def test_factory_reports_the_float(self):
+        with pytest.raises(RangeError, match=r"got 2.0$"):
+            bernoulli(2)
 
     @pytest.mark.parametrize(
         "family, params",
@@ -77,12 +108,14 @@ class TestParents:
             assert np.var(draws) == pytest.approx(parent.variance, abs=0.1)
 
     # SHA-256 of draw()'s 1000 float64s (little-endian) from default_rng(19),
-    # captured at commit 06e9a4f, when each family's draw lived in weaver.parents
+    # captured at commit 06e9a4f, when each family's draw lived in weaver.parents;
+    # bernoulli's since draw became the block sums of blocks of one observation,
+    # which draws Binomial(1, q): the same law, other realized values
     DRAW_DIGESTS = {
         "point": (point_mass(2.5),
                   "996bc8d14ad0673408ac4e9c2ab00819e1033db574e56b6ff58a49f33ca02960"),
         "bernoulli": (bernoulli(0.3),
-                      "42d8edd16c2f9bdf7e4bce1d41660f165c7c5a167456be0260a4aca12218f4e4"),
+                      "457ea1ca6377713e0fed9b18fa16644202aa81fbba403a85fe0244491aff6a0b"),
         "uniform": (uniform_interval(-1.0, 3.0),
                     "55f36c5b5cd3430430a5b14110273c9fa9708718b7f8ff03e512d0f1b47b4c4e"),
         "gauss": (gaussian(5.0, 4.0),
@@ -99,6 +132,18 @@ class TestParents:
         values = parent.draw(np.random.default_rng(19), 1000)
         assert values.dtype == np.float64
         assert hashlib.sha256(values.astype("<f8").tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("size", [1000, 3 * sampler.UNIFORM_SLAB + 5])
+    @pytest.mark.parametrize(
+        "parent",
+        [point_mass(2.5), uniform_interval(-1.0, 3.0), gaussian(5.0, 4.0), *PAIRS["mixed"]],
+        ids=["point", "uniform", "gauss", "gauss-std", "uniform-std"],
+    )
+    def test_draw_is_numpy_direct_draw(self, parent, size):
+        # past one slab, uniform draws come in up to two spans, one per CPU
+        values = parent.draw(np.random.default_rng(19), size)
+        expected = numpy_draw(parent, np.random.default_rng(19), size)
+        assert values.tobytes() == expected.tobytes()
 
     def test_standardize_moves_means_to_zero_and_one(self):
         h0, h1 = standardize_parents(gaussian(3.0, 4.0), gaussian(7.0, 1.0))
@@ -634,5 +679,5 @@ class TestBlockSums:
         m, cells = 16, 4000
         sizes = np.full(cells, m, dtype=np.int64)
         sums = sampler._parent_sums(parent, np.random.default_rng(5), sizes)
-        drawn = parent.draw(np.random.default_rng(6), m * cells).reshape(cells, m).sum(axis=1)
+        drawn = numpy_draw(parent, np.random.default_rng(6), m * cells).reshape(cells, m).sum(axis=1)
         assert scipy.stats.ks_2samp(sums, drawn).pvalue > 0.001

@@ -1,4 +1,4 @@
-"""Exact moments, the weaving/merging variance split, and limit diagnostics.
+"""Exact moments, the weaving/merging variance split, and the halving cascade.
 
 The conditional mean under exponential sampling has mean p at every
 depth and variance (4**n - 1) / (3 * (2**n - 1)**2) * p * (1-p), which
@@ -12,12 +12,11 @@ and a "merging" share.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from weaver.errors import RangeError
-from weaver.exact import WeaverParams, _check_cap, _check_probability, _log2, pmf_point_log2
+from weaver.exact import WeaverParams, _check_cap, _check_probability
 
 
 @dataclass(frozen=True)
@@ -34,30 +33,6 @@ class DecompositionRow:
     merging: int
     weaving_share: Fraction
     merging_share: Fraction
-
-
-@dataclass(frozen=True)
-class RoughnessReport:
-    """Mass-ratio growth inside a single cell after repeated refinement.
-
-    After ``level`` refinements of any leaf, the rightmost descendant
-    carries bias_ratio**level times the mass of the leftmost one.  The
-    two products scale the leaf's own mass: the left one,
-    (2*(1-p))**level, measures the leftmost descendant density and the
-    right one, (2*p)**level, the rightmost; for p above 1/2 the first
-    shrinks to zero while the second grows without bound.  Both are also
-    reported in base-2 logarithms so deep levels stay finite.
-    """
-
-    p: Fraction
-    bias_ratio: Fraction
-    level: int
-    ratio: float
-    fractal_dimension: float
-    left_product: float
-    right_product: float
-    log2_left_product: float
-    log2_right_product: float
 
 
 def exact_variance(params: WeaverParams) -> Fraction:
@@ -129,49 +104,6 @@ def limit_variance(p: Fraction | str | float) -> Fraction:
     """Limit of the conditional-mean variance as the depth grows: p*(1-p)/3."""
     p = _check_probability(p)
     return p * (1 - p) / 3
-
-
-def _exp2(log2_value: float) -> float:
-    """2**log2_value in binary64: inf past its range, 0.0 below it."""
-    return 2.0**log2_value if log2_value < 1024 else math.inf
-
-
-def local_density(k: int, params: WeaverParams) -> float:
-    """Average density over the cell around leaf k: 2**n times its mass.
-
-    Assembled in log space at every depth, 2**(n + log2 mass), to a
-    relative tolerance of 1e-12; exactly 1 for p = 1/2 at every leaf, and
-    inf where the density lies beyond binary64's range.
-    """
-    return _exp2(params.n + pmf_point_log2(k, params))
-
-
-def roughness_report(p: Fraction | str | float, level: int) -> RoughnessReport:
-    """Quantify how fast the cell densities roughen under refinement.
-
-    The rightmost-to-leftmost mass ratio after ``level`` refinements is
-    bias_ratio**level with bias_ratio = p/(1-p); its growth rate against
-    the cell count gives the dimension log2(bias_ratio), zero exactly
-    when p = 1/2.
-    """
-    if level < 0:
-        raise RangeError(f"level must be non-negative, got {level}")
-    p = _check_probability(p)
-    bias_ratio = p / (1 - p)
-    log2_f = _log2(bias_ratio)
-    log2_left = level * (1.0 + _log2(1 - p))
-    log2_right = level * (1.0 + _log2(p))
-    return RoughnessReport(
-        p=p,
-        bias_ratio=bias_ratio,
-        level=level,
-        ratio=_exp2(level * log2_f),
-        fractal_dimension=log2_f,
-        left_product=_exp2(log2_left),
-        right_product=_exp2(log2_right),
-        log2_left_product=log2_left,
-        log2_right_product=log2_right,
-    )
 
 
 def pmodel_cell_masses(n: int, p: Fraction | str | float) -> list[Fraction]:

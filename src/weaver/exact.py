@@ -8,9 +8,9 @@ leaf index ``k`` (``0 <= k < 2**n``).
 
 Everything in this module is exact: the point queries in Fractions, and
 the kernels of the 2**n tables in integer numerators over a common
-denominator.  Binary64 enters only through the explicit log-space
-helpers meant for depths far beyond the materialization cap; those
-carry a documented relative tolerance of 1e-12.
+denominator.  Binary64 enters only through the one log-space point
+query, :func:`pmf_point_log2`, meant for depths far beyond the
+materialization cap; it carries a documented relative tolerance of 1e-12.
 """
 
 from __future__ import annotations
@@ -99,18 +99,7 @@ class SelectionPath:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise RangeError(f"path length must be positive, got {self.n}")
-        if not 0 <= self.k < 1 << self.n:
-            raise RangeError(f"k={self.k} outside [0, 2**{self.n} - 1]")
-
-    @classmethod
-    def from_bits(cls, bits: tuple[int, ...]) -> "SelectionPath":
-        """Build a path from the bit vector (b[n-1], ..., b[0])."""
-        k = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise RangeError(f"selection bits must be 0 or 1, got {b!r}")
-            k = (k << 1) | b
-        return cls(n=len(bits), k=k)
+        _check_leaf_index(self.k, self.n)
 
     @property
     def bits(self) -> tuple[int, ...]:
@@ -139,8 +128,8 @@ class DyadicPoint:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise RangeError(f"resolution must be non-negative, got {self.n}")
-        if not 0 <= self.k <= 1 << self.n:
-            raise RangeError(f"k={self.k} outside [0, 2**{self.n}]")
+        if type(self.k) is not int or not 0 <= self.k <= 1 << self.n:
+            raise RangeError(f"k must be an integer in [0, 2**{self.n}], got {self.k!r}")
 
     @property
     def value(self) -> Fraction:
@@ -148,8 +137,9 @@ class DyadicPoint:
 
 
 def _check_leaf_index(k: int, n: int) -> None:
-    if not 0 <= k < 1 << n:
-        raise RangeError(f"leaf index k={k} outside [0, 2**{n} - 1]")
+    # type, not isinstance: a bool is an int to isinstance, but no index
+    if type(k) is not int or not 0 <= k < 1 << n:
+        raise RangeError(f"leaf index must be an integer in [0, 2**{n} - 1], got {k!r}")
 
 
 def _check_cap(n: int, what: str) -> None:
@@ -241,16 +231,6 @@ def geometric_triangle_row(n: int) -> list[int]:
     for _ in range(n):
         row += [e + 1 for e in row]
     return row
-
-
-def exponent_sum(n: int) -> int:
-    """Sum of row n of the exponent triangle: n * 2**(n-1).
-
-    Each of the n bits is set in half of the 2**n leaves.
-    """
-    if n < 0:
-        raise RangeError(f"row index must be non-negative, got {n}")
-    return (n << n) >> 1
 
 
 def cdf_at_dyadic(point: DyadicPoint, params: WeaverParams) -> Fraction:
@@ -357,15 +337,3 @@ def jump_spectrum(params: WeaverParams) -> list[tuple[Fraction, int]]:
     """
     numerators, denominator = _mass_numerators(params.p, params.n)
     return [(Fraction(w, denominator), comb(params.n, j)) for j, w in enumerate(numerators)]
-
-
-def mirror_index(k: int, n: int) -> int:
-    """Index of the leaf mirrored across 1/2: 2**n - 1 - k.
-
-    Complementing every selection bit maps W(n, p) onto W(n, 1-p), so
-    the mass of W(n, p) at k equals the mass of W(n, 1-p) at the mirror.
-    """
-    if n < 1:
-        raise RangeError(f"n must be positive, got {n}")
-    _check_leaf_index(k, n)
-    return ((1 << n) - 1) - k

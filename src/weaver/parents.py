@@ -49,7 +49,8 @@ class ParentDistribution:
     ``params`` are the natural parameters of the base family:
     point-mass ``(c,)``, bernoulli ``(q,)`` with q in [0, 1],
     uniform-interval ``(a, b)`` with a < b, gaussian ``(mean, variance)``
-    with variance >= 0; all must be finite, or :class:`RangeError` is raised.
+    with variance >= 0; these, ``scale`` and ``shift`` must be finite, or
+    :class:`RangeError` is raised.
     """
 
     family: str
@@ -70,6 +71,8 @@ class ParentDistribution:
             raise RangeError(message)
         if not all(math.isfinite(value) for value in self.params):
             raise RangeError(f"{self.family} parameters must be finite, got {self.params}")
+        if not (math.isfinite(self.scale) and math.isfinite(self.shift)):
+            raise RangeError(f"scale and shift must be finite, got {self.scale} and {self.shift}")
 
     @property
     def mean(self) -> float:

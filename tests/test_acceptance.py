@@ -27,8 +27,9 @@ from weaver.exact import (
     WeaverParams,
     build_pmf_vector,
     cdf_at_dyadic,
-    exponent_sum,
+    geometric_triangle_row,
     pmf_point,
+    pmf_point_log2,
     realization_value,
 )
 from weaver.parents import gaussian, point_mass
@@ -75,9 +76,12 @@ def test_criterion_01_depth_three_pmf_through_the_cli():
 
 def test_criterion_02_triangle_row_sums():
     with criterion(2, "geometric-triangle sums", 1.0):
-        assert [exponent_sum(n) for n in range(10)] == [
+        assert [sum(geometric_triangle_row(n)) for n in range(10)] == [
             0, 1, 4, 12, 32, 80, 192, 448, 1024, 2304,
         ]
+        # row n sums to n * 2**(n-1): each bit is set in half of the leaves
+        for n in range(1, 10):
+            assert sum(geometric_triangle_row(n)) == n * (1 << (n - 1))
 
 
 def test_criterion_03_variance_closed_form_vs_enumeration():
@@ -145,13 +149,14 @@ def test_criterion_06_variance_ratio_limit_and_edge_divergence():
         assert abs(ratios[-1] - Fraction(1, 3)) < Fraction(1, 10**12)
         # the limit law itself is out of numerical reach; its lack of a
         # density shows up as unbounded right-edge cell densities, which
-        # stay quantifiable in log space far past overflow
-        log_products = [
-            analysis.roughness_report(p, level).log2_right_product for level in range(61)
+        # stay quantifiable in log space far past overflow; level 0 is the
+        # unit cell, of log2 density 0
+        log_right = [0.0] + [
+            n + pmf_point_log2((1 << n) - 1, WeaverParams(n=n, p=p)) for n in range(1, 61)
         ]
-        assert all(a < b for a, b in zip(log_products, log_products[1:]))
-        assert log_products[60] > 20  # (2p)**60 > 2**20 for p = 2/3
-        assert analysis.roughness_report(p, 60).log2_left_product < -30
+        assert all(a < b for a, b in zip(log_right, log_right[1:]))
+        assert log_right[60] > 20  # (2p)**60 > 2**20 for p = 2/3
+        assert 60 + pmf_point_log2(0, WeaverParams(n=60, p=p)) < -30
 
 
 def test_criterion_07_monte_carlo_moments_with_gaussian_parents():

@@ -1,4 +1,4 @@
-"""Moments, the weaving/merging split, densities, and limit diagnostics."""
+"""Moments, the weaving/merging split, and cell densities in log space."""
 
 import math
 from fractions import Fraction
@@ -9,11 +9,22 @@ from hypothesis import strategies as st
 
 from weaver import analysis
 from weaver.errors import RangeError
-from weaver.exact import WeaverParams, build_pmf_vector, pmf_point, realization_value
+from weaver.exact import (
+    WeaverParams, build_pmf_vector, pmf_point, pmf_point_log2, realization_value,
+)
 
 probabilities = st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100))
 depths = st.integers(min_value=1, max_value=10)
 TINY = Fraction(1, 10**400)  # its float is 0.0
+
+
+def log2_density(k: int, params: WeaverParams) -> float:
+    # the average density over leaf k's cell is 2**n times its mass
+    return params.n + pmf_point_log2(k, params)
+
+
+def density(k: int, params: WeaverParams) -> float:
+    return 2.0 ** log2_density(k, params)
 
 
 def enumerated_moment(n: int, p: Fraction, j: int) -> Fraction:
@@ -177,17 +188,17 @@ class TestLocalDensity:
             8 * q**3, 8 * p * q**2, 8 * p * q**2, 8 * p**2 * q,
             8 * p * q**2, 8 * p**2 * q, 8 * p**2 * q, 8 * p**3,
         ]
-        got = [analysis.local_density(k, params) for k in range(8)]
+        got = [density(k, params) for k in range(8)]
         assert got == [pytest.approx(float(e)) for e in expected]
 
     def test_flat_at_one_half(self):
         params = WeaverParams(n=10, p=Fraction(1, 2))
-        assert {analysis.local_density(k, params) for k in (0, 17, 1023)} == {1.0}
+        assert {density(k, params) for k in (0, 17, 1023)} == {1.0}
 
     def test_edge_cells(self):
         params = WeaverParams(n=3, p=Fraction(2, 3))
-        assert analysis.local_density(7, params) == pytest.approx(64 / 27)
-        assert analysis.local_density(0, params) == pytest.approx(8 / 27)
+        assert density(7, params) == pytest.approx(64 / 27)
+        assert density(0, params) == pytest.approx(8 / 27)
 
     @given(n=st.integers(min_value=1, max_value=64), p=probabilities, data=st.data())
     def test_matches_the_exact_mass(self, n, p, data):
@@ -195,15 +206,15 @@ class TestLocalDensity:
         params = WeaverParams(n=n, p=p)
         k = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1), label="k")
         expected = float((1 << n) * pmf_point(k, params))
-        assert analysis.local_density(k, params) == pytest.approx(expected, rel=1e-12)
+        assert density(k, params) == pytest.approx(expected, rel=1e-12)
 
     def test_log_space_fallback_continuous(self):
         # the same leaf one depth further down, across the old 2**64 fork:
         # one more zero-selection multiplies the density by 2(1-p)
         p = Fraction(3, 5)
         k = (1 << 40) - 1
-        shallow = analysis.local_density(k, WeaverParams(n=64, p=p))
-        deeper = analysis.local_density(k, WeaverParams(n=65, p=p))
+        shallow = density(k, WeaverParams(n=64, p=p))
+        deeper = density(k, WeaverParams(n=65, p=p))
         assert deeper == pytest.approx(shallow * 2 * float(1 - p), rel=1e-9)
 
     @pytest.mark.parametrize("p", [TINY, 1 - TINY], ids=["1e-400", "1-1e-400"])
@@ -211,86 +222,61 @@ class TestLocalDensity:
         # nearly all mass sits on the leaf of the likely selections
         likely = 0 if p < Fraction(1, 2) else (1 << 65) - 1
         params = WeaverParams(n=65, p=p)
-        assert analysis.local_density(likely, params) == pytest.approx(2.0**65, rel=1e-12)
-        assert analysis.local_density(likely ^ 1, params) == 0.0  # 2**65 * 10**-400 underflows
-
-    def test_density_beyond_binary64_is_inf(self):
-        params = WeaverParams(n=2000, p=Fraction(9, 10))
-        assert analysis.local_density((1 << 2000) - 1, params) == math.inf  # 2**1696.0...
-        assert analysis.local_density(0, params) == 0.0
+        assert density(likely, params) == pytest.approx(2.0**65, rel=1e-12)
+        assert density(likely ^ 1, params) == 0.0  # 2**65 * 10**-400 underflows
 
 
 class TestRoughness:
+    """The edge cells' log2 densities, level * log2(2*(1-p)) on the left and
+    level * log2(2*p) on the right: one dies out and the other diverges."""
+
     def test_balanced_cascade_is_smooth(self):
-        report = analysis.roughness_report(Fraction(1, 2), 40)
-        assert report.bias_ratio == 1
-        assert report.ratio == 1.0
-        assert report.fractal_dimension == 0.0
-        assert report.left_product == 1.0
-        assert report.right_product == 1.0
+        params = WeaverParams(n=40, p=Fraction(1, 2))
+        assert density(0, params) == density((1 << 40) - 1, params) == 1.0
 
     def test_biased_cascade_polarizes(self):
-        p = Fraction(2, 3)
-        report = analysis.roughness_report(p, 10)
-        assert report.bias_ratio == Fraction(2)
-        assert report.ratio == pytest.approx(2.0**10)
-        assert report.fractal_dimension == pytest.approx(1.0)
+        params = WeaverParams(n=10, p=Fraction(2, 3))
+        left, right = density(0, params), density(1023, params)
         # left cells die, right cells blow up
-        assert report.left_product == pytest.approx((2 / 3) ** 10)
-        assert report.right_product == pytest.approx((4 / 3) ** 10)
-        assert report.left_product < 1 < report.right_product
-
-    def test_two_to_one_bias(self):
-        report = analysis.roughness_report(Fraction(2, 3), 3)
-        assert report.ratio == pytest.approx(8.0)
-        assert report.fractal_dimension == pytest.approx(1.0)
+        assert left == pytest.approx((2 / 3) ** 10)
+        assert right == pytest.approx((4 / 3) ** 10)
+        assert left < 1 < right
 
     def test_log_products_linear_in_level(self):
-        p = Fraction(9, 10)
         for level in (1, 7, 60):
-            report = analysis.roughness_report(p, level)
-            assert report.log2_right_product == pytest.approx(
+            params = WeaverParams(n=level, p=Fraction(9, 10))
+            assert log2_density((1 << level) - 1, params) == pytest.approx(
                 level * (1 + math.log2(0.9)), rel=1e-12
             )
-            assert report.log2_left_product == pytest.approx(
+            assert log2_density(0, params) == pytest.approx(
                 level * (1 + math.log2(0.1)), rel=1e-12
             )
 
     def test_huge_level_stays_finite_in_log_space(self):
-        report = analysis.roughness_report(Fraction(99, 100), 5000)
-        assert report.ratio == math.inf
-        assert report.right_product == math.inf
-        assert math.isfinite(report.log2_right_product)
-        assert math.isfinite(report.log2_left_product)
+        # the right density, 2**(5000 * 0.9855...), is far past binary64
+        params = WeaverParams(n=5000, p=Fraction(99, 100))
+        assert 1024 < log2_density((1 << 5000) - 1, params) < math.inf
+        assert math.isfinite(log2_density(0, params))
 
     @pytest.mark.parametrize("p", ["1/3", "1/2", "2/3", "3/7"])
     def test_agrees_with_the_float_path(self, p):
         p = Fraction(p)
         for level in (1, 7, 60):
-            report = analysis.roughness_report(p, level)
-            old_dimension = math.log2(float(p / (1 - p)))
-            assert report.fractal_dimension == pytest.approx(old_dimension, rel=1e-12)
+            params = WeaverParams(n=level, p=p)
             old_left = level * (1.0 + math.log2(float(1 - p)))
             old_right = level * (1.0 + math.log2(float(p)))
-            assert report.log2_left_product == pytest.approx(old_left, rel=1e-12)
-            assert report.log2_right_product == pytest.approx(old_right, rel=1e-12)
-            assert report.ratio == pytest.approx(float((p / (1 - p)) ** level), rel=1e-12)
+            assert log2_density(0, params) == pytest.approx(old_left, rel=1e-12)
+            assert log2_density((1 << level) - 1, params) == pytest.approx(old_right, rel=1e-12)
 
     def test_extreme_p(self):
         # log2(10**400) bits separate the two selections' masses
         bits = 400 * math.log2(10)
-        report = analysis.roughness_report(TINY, 10)
-        assert report.fractal_dimension == pytest.approx(-bits, rel=1e-12)
-        assert (report.ratio, report.left_product, report.right_product) == (0.0, 1024.0, 0.0)
-        assert report.log2_right_product == pytest.approx(10 * (1 - bits), rel=1e-12)
-        report = analysis.roughness_report(1 - TINY, 10)
-        assert report.fractal_dimension == pytest.approx(bits, rel=1e-12)
-        assert (report.ratio, report.left_product, report.right_product) == (math.inf, 0.0, 1024.0)
-        assert report.log2_left_product == pytest.approx(10 * (1 - bits), rel=1e-12)
-
-    def test_level_validated(self):
-        with pytest.raises(RangeError):
-            analysis.roughness_report(Fraction(1, 2), -1)
+        params = WeaverParams(n=10, p=TINY)
+        assert (density(0, params), density(1023, params)) == (1024.0, 0.0)
+        assert log2_density(1023, params) == pytest.approx(10 * (1 - bits), rel=1e-12)
+        params = WeaverParams(n=10, p=1 - TINY)
+        assert (density(0, params), density(1023, params)) == (0.0, 1024.0)
+        assert log2_density(0, params) == pytest.approx(10 * (1 - bits), rel=1e-12)
 
 
 class TestPmodelEquivalence:

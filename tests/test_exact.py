@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weaver import analysis, exact
+from weaver import analysis, exact, sampler
 from weaver.errors import CapacityError, RangeError, RefinementError
 from weaver.exact import (
     DyadicPoint,
@@ -19,10 +19,8 @@ from weaver.exact import (
     build_pmf_vector,
     cdf_at_dyadic,
     cdf_grid,
-    exponent_sum,
     geometric_triangle_row,
     jump_spectrum,
-    mirror_index,
     pmf_point,
     pmf_point_log2,
     realization_value,
@@ -97,7 +95,7 @@ class TestSelectionPath:
     def test_bits_round_trip(self):
         path = SelectionPath(n=4, k=0b1011)
         assert path.bits == (1, 0, 1, 1)
-        assert SelectionPath.from_bits(path.bits) == path
+        assert int("".join(map(str, path.bits)), 2) == path.k
 
     def test_ones_zeros(self):
         path = SelectionPath(n=5, k=0b10110)
@@ -107,6 +105,22 @@ class TestSelectionPath:
     def test_out_of_range_index(self):
         with pytest.raises(RangeError):
             SelectionPath(n=3, k=8)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: SelectionPath(n=3, k=1.5),
+        lambda: DyadicPoint(k=1.5, n=3),
+        lambda: pmf_point(2.0, WeaverParams(n=3, p=Fraction(1, 3))),
+        lambda: pmf_point(True, WeaverParams(n=3, p=Fraction(1, 3))),
+    ],
+    ids=["SelectionPath", "DyadicPoint", "pmf_point", "pmf_point-bool"],
+)
+def test_non_integer_index_is_a_range_error(call):
+    # rejected where it is given, not as a TypeError in .bits or the cdf walk
+    with pytest.raises(RangeError, match="integer"):
+        call()
 
 
 class TestPmf:
@@ -161,13 +175,12 @@ class TestPmf:
         flipped = build_pmf_vector(WeaverParams(n=n, p=1 - p)).pmf
         assert list(direct) == list(reversed(flipped))
 
-    def test_mirror_index(self):
-        assert mirror_index(0, 4) == 15
-        assert mirror_index(5, 4) == 10
+    def test_mirrored_leaf(self):
+        # complementing all six bits maps leaf k of W(6, p) to leaf 63 - k of W(6, 1-p)
         params = WeaverParams(n=6, p=Fraction(2, 7))
         other = WeaverParams(n=6, p=Fraction(5, 7))
         for k in (0, 1, 17, 63):
-            assert pmf_point(k, params) == pmf_point(mirror_index(k, 6), other)
+            assert pmf_point(k, params) == pmf_point(63 - k, other)
 
     def test_uniform_at_one_half(self):
         dist = build_pmf_vector(WeaverParams(n=7, p=Fraction(1, 2)))
@@ -292,20 +305,21 @@ class TestGeometricTriangle:
 
     @given(n=st.integers(min_value=0, max_value=12))
     def test_row_sum_recursion(self, n):
-        # each refinement doubles the previous sum and adds 2**n new ones
-        assert sum(geometric_triangle_row(n)) == exponent_sum(n)
+        # each refinement doubles the previous sum and adds 2**(n-1) new ones
         if n > 0:
-            assert exponent_sum(n) == 2 * exponent_sum(n - 1) + (1 << (n - 1))
+            previous = sum(geometric_triangle_row(n - 1))
+            assert sum(geometric_triangle_row(n)) == 2 * previous + (1 << (n - 1))
 
     def test_sum_sequence(self):
-        assert [exponent_sum(i) for i in range(10)] == [
+        assert [sum(geometric_triangle_row(i)) for i in range(10)] == [
             0, 1, 4, 12, 32, 80, 192, 448, 1024, 2304,
         ]
 
     def test_closed_form(self):
-        assert exponent_sum(0) == 0
+        # each of the n bits is set in half of the 2**n leaves
+        assert sum(geometric_triangle_row(0)) == 0
         for n in range(1, 20):
-            assert exponent_sum(n) == n * (1 << (n - 1))
+            assert sum(geometric_triangle_row(n)) == n * (1 << (n - 1))
 
     def test_row_cap(self):
         with pytest.raises(CapacityError):
@@ -470,3 +484,24 @@ class TestJumpSpectrum:
         spectrum = jump_spectrum(WeaverParams(n=5, p=Fraction(3, 5)))
         expanded = Counter({height: count for height, count in spectrum})
         assert expanded == Counter(brute_pmf(5, Fraction(3, 5)))
+
+
+def test_oracles_reach_no_kernel(monkeypatch):
+    # the tables and moments are checked against these oracles, which would
+    # check nothing if they read the same integer kernels
+    def kernel(*args, **kwargs):
+        raise RuntimeError("an oracle reached a kernel")
+
+    for module, name in [
+        (exact, "_mass_numerators"), (exact, "cdf_grid"), (exact, "_cdf_numerator"),
+        (analysis, "_moment_numerators"), (sampler, "_parent_sums"),
+    ]:
+        monkeypatch.setattr(module, name, kernel)
+    p = Fraction(2, 3)
+    params = WeaverParams(n=3, p=p)
+    with pytest.raises(RuntimeError, match="kernel"):  # the patch is in effect
+        build_pmf_vector(params)
+    assert pmf_point(5, params) == p**2 * (1 - p)
+    assert cdf_at_dyadic(DyadicPoint(k=3, n=2), params) == 1 - p * p
+    assert geometric_triangle_row(3) == [0, 1, 1, 2, 1, 2, 2, 3]
+    assert analysis.pmodel_cell_masses(3, p)[5] == p**2 * (1 - p)

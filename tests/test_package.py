@@ -1,6 +1,7 @@
 """The package root: it binds no names, numpy loads only with weaver.sampler,
 and weaver.analysis only with the tables that use it."""
 
+import ast
 import os
 import re
 import shlex
@@ -141,6 +142,51 @@ class TestLazyNamespace:
 
         assert parents is sys.modules["weaver.parents"]
         assert sampler is sys.modules["weaver.sampler"]
+
+
+class TestPublicSurface:
+    """The names each module defines without a leading underscore; a new one,
+    or one that grows back, is an edit here."""
+
+    SURFACE = {
+        "exact": {
+            "MATERIALIZATION_CAP", "as_exact_probability", "WeaverParams", "SelectionPath",
+            "WeaverDist", "DyadicPoint", "realization_value", "pmf_point", "pmf_point_log2",
+            "build_pmf_vector", "geometric_triangle_row", "cdf_at_dyadic", "cdf_grid",
+            "jump_spectrum",
+        },
+        "analysis": {
+            "DecompositionRow", "exact_variance", "exact_moment", "variance_decomposition",
+            "limit_variance", "pmodel_cell_masses",
+        },
+        "sampler": {
+            "BERNOULLI_BITS", "CHUNK", "PATH_ONLY_CAP", "RAW_DRAW_CAP", "STREAM_VERSION",
+            "UNIFORM_SLAB", "MomentReport", "SampleRun", "convergence_ks",
+            "draw_selection_path", "monte_carlo_moments", "path_ensemble", "run_ensemble",
+            "run_exponential_sample", "run_from_path", "simulate_mean_ensemble",
+        },
+        "parents": {
+            "STANDARDIZATION_TOL", "ParentDistribution", "point_mass", "bernoulli",
+            "uniform_interval", "gaussian", "standardize_parents", "is_standardized",
+        },
+        "cli": {"build_parser", "emit_table", "main", "parse_config"},
+        "errors": {
+            "WeaverError", "RangeError", "CapacityError", "RefinementError",
+            "DegeneracyError", "ContractError",
+        },
+    }
+
+    @pytest.mark.parametrize("module", sorted(SURFACE))
+    def test_defined_public_names(self, module):
+        tree = ast.parse((ROOT / "src" / "weaver" / f"{module}.py").read_text())
+        defined = set()
+        for node in tree.body:  # top-level definitions; imports bind no new name
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        assert {name for name in defined if not name.startswith("_")} == self.SURFACE[module]
 
 
 class TestReadme:

@@ -99,6 +99,16 @@ class TestParents:
         with pytest.raises(RangeError):
             family(*params)
 
+    @pytest.mark.parametrize(
+        "affine",
+        [{"scale": math.nan}, {"shift": math.inf}, {"scale": -math.inf}],
+        ids=["scale-nan", "shift-inf", "scale-minus-inf"],
+    )
+    def test_validation_rejects_non_finite_affine_map(self, affine):
+        # a nan scale would otherwise give a nan mean and variance
+        with pytest.raises(RangeError, match="scale and shift must be finite"):
+            ParentDistribution("gaussian", (0.0, 1.0), **affine)
+
     def test_draw_statistics(self):
         rng = np.random.default_rng(42)
         for parent in (point_mass(2.0), bernoulli(0.3), uniform_interval(-1, 3), gaussian(5, 4)):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from weaver.errors import RangeError
-from weaver.exact import WeaverParams, _check_cap, _check_probability
+from weaver.exact import WeaverParams, _check_cap, _check_depth, _check_probability
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,7 @@ def variance_decomposition(n: int) -> DecompositionRow:
     diagonal); the two add up to the denominator exactly.  The split is
     the same for every p.
     """
-    if n < 1:
-        raise RangeError(f"n must be positive, got {n}")
+    _check_depth(n, 1)
     denom = ((1 << n) - 1) ** 2
     weaving = ((1 << 2 * n) - 1) // 3
     merging = 2 * ((1 << 2 * n) - 3 * (1 << n) + 2) // 3
@@ -115,8 +114,7 @@ def pmodel_cell_masses(n: int, p: Fraction | str | float) -> list[Fraction]:
     the same numbers as the pmf of W(n, p), which is the discretisation
     statement connecting the two models.
     """
-    if n < 1:
-        raise RangeError(f"n must be positive, got {n}")
+    _check_depth(n, 1)
     p = _check_probability(p)
     _check_cap(n, "cell mass vector")
     q = 1 - p

@@ -79,8 +79,7 @@ class WeaverParams:
     p: Fraction
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise RangeError(f"n must be a positive integer, got {self.n!r}")
+        _check_depth(self.n, 1)
         object.__setattr__(self, "p", _check_probability(self.p))
 
 
@@ -97,17 +96,12 @@ class SelectionPath:
     k: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise RangeError(f"path length must be positive, got {self.n}")
+        _check_depth(self.n, 1)
         _check_leaf_index(self.k, self.n)
 
     @property
     def bits(self) -> tuple[int, ...]:
         return tuple((self.k >> j) & 1 for j in range(self.n - 1, -1, -1))
-
-    @property
-    def ones(self) -> int:
-        return self.k.bit_count()
 
 
 @dataclass(frozen=True)
@@ -126,14 +120,19 @@ class DyadicPoint:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise RangeError(f"resolution must be non-negative, got {self.n}")
+        _check_depth(self.n, 0)
         if type(self.k) is not int or not 0 <= self.k <= 1 << self.n:
             raise RangeError(f"k must be an integer in [0, 2**{self.n}], got {self.k!r}")
 
     @property
     def value(self) -> Fraction:
         return Fraction(self.k, 1 << self.n)
+
+
+def _check_depth(n: int, least: int) -> None:
+    # type, not isinstance, as for a leaf index: a bool is no depth
+    if type(n) is not int or n < least:
+        raise RangeError(f"depth must be an integer >= {least}, got {n!r}")
 
 
 def _check_leaf_index(k: int, n: int) -> None:
@@ -155,8 +154,7 @@ def realization_value(k: int, n: int) -> Fraction:
     The support is an equispaced lattice on [0, 1]; consecutive points
     differ by exactly 1 / (2**n - 1).
     """
-    if n < 1:
-        raise RangeError(f"n must be positive, got {n}")
+    _check_depth(n, 1)
     _check_leaf_index(k, n)
     return Fraction(k, (1 << n) - 1)
 
@@ -224,8 +222,7 @@ def geometric_triangle_row(n: int) -> list[int]:
     by row n shifted up by one.  The independent oracle of the tables,
     which read ones(k) from k.
     """
-    if n < 0:
-        raise RangeError(f"row index must be non-negative, got {n}")
+    _check_depth(n, 0)
     _check_cap(n, "triangle row")
     row = [0]
     for _ in range(n):
@@ -282,6 +279,7 @@ def cdf_grid(
     The sums come one at a time from an iterator, not as a list; the cap
     and refinement checks run when this is called, before the first one.
     """
+    _check_depth(resolution, 0)
     _check_cap(resolution, "cdf grid")
     if resolution > params.n:
         raise RefinementError(

@@ -17,9 +17,9 @@ are independent of each other.  A caller that needs several ensembles
 from one seed extends the spawn key in front of c (``convergence_ks``
 keys each depth n as ``(n, c, purpose)``).  The single-run functions
 are replication 0 of the ensemble with their seed: ``draw_selection_path``
-reads chunk 0's path words, ``run_exponential_sample`` is the first run
-of ``run_ensemble``, and ``run_from_path`` reads chunk 0's block-sum
-streams for the path it is given.
+reads chunk 0's path words, ``run_from_path`` reads chunk 0's block-sum
+streams for the path it is given, and ``run_exponential_sample`` is
+``run_from_path(draw_selection_path(n, p, seed), h0, h1, seed)``.
 
 This is the one module that imports numpy.  A parent population of
 :mod:`weaver.parents` is only a spec; every draw from it is a block sum
@@ -38,7 +38,7 @@ import numpy as np
 
 from weaver import _host, analysis
 from weaver.errors import CapacityError, ContractError, RangeError
-from weaver.exact import SelectionPath, WeaverParams, _check_probability, cdf_grid
+from weaver.exact import SelectionPath, WeaverParams, _check_depth, _check_probability, cdf_grid
 from weaver.parents import ParentDistribution, is_standardized
 
 #: Layout of the ensemble streams described above; realized samples
@@ -107,8 +107,7 @@ def _selection_threshold(p: Fraction) -> int:
 
 
 def _path_threshold(n: int, p: Fraction | str | float) -> int:
-    if n < 1:
-        raise RangeError(f"n must be positive, got {n}")
+    _check_depth(n, 1)
     if n > PATH_ONLY_CAP:
         raise CapacityError(f"path depth {n} above the path-only cap {PATH_ONLY_CAP}")
     return _selection_threshold(_check_probability(p))
@@ -148,6 +147,7 @@ def draw_selection_path(n: int, p: Fraction | str | float, seed: int) -> Selecti
 
 
 def _check_run(n: int, h0: ParentDistribution, h1: ParentDistribution) -> None:
+    _check_depth(n, 1)
     if n > RAW_DRAW_CAP:
         raise CapacityError(
             f"depth {n} draws 2**{n} - 1 observations, above the raw draw cap {RAW_DRAW_CAP}"
@@ -295,22 +295,6 @@ def _totals(sums: np.ndarray) -> np.ndarray:
     return totals
 
 
-def _sample_runs(n: int, selected: np.ndarray, sums: np.ndarray) -> Iterator[SampleRun]:
-    # one run per row of a chunk's selection grid and block sums
-    denominator = (1 << n) - 1
-    totals = _totals(sums)
-    rows = zip(_leaf_indices(selected).tolist(), sums.tolist(), totals.tolist())
-    for k, block_sums, total in rows:
-        yield SampleRun(
-            n=n,
-            path=SelectionPath(n=n, k=k),
-            block_sums=tuple(block_sums),
-            total=total,
-            mean=total / denominator,
-            conditional_mean=Fraction(k, denominator),
-        )
-
-
 def run_from_path(
     path: SelectionPath, h0: ParentDistribution, h1: ParentDistribution, seed: int
 ) -> SampleRun:
@@ -323,7 +307,16 @@ def run_from_path(
     _check_run(path.n, h0, h1)
     selected = np.array([path.bits[::-1]], dtype=bool)  # block order
     sums = _block_sums(selected, h0, h1, seed, (), 0)
-    return next(_sample_runs(path.n, selected, sums))
+    total = float(_totals(sums)[0])
+    denominator = (1 << path.n) - 1
+    return SampleRun(
+        n=path.n,
+        path=path,
+        block_sums=tuple(sums[0].tolist()),
+        total=total,
+        mean=total / denominator,
+        conditional_mean=Fraction(path.k, denominator),
+    )
 
 
 def run_exponential_sample(
@@ -336,9 +329,9 @@ def run_exponential_sample(
     """One full run: draw a path, then 2**(j-1) observations per block j.
 
     Parents must already be standardized (means exactly 0 and 1).  The
-    run is replication 0 of ``run_ensemble(n, h0, h1, p, 1, seed)``.
+    path is checked and drawn before the parents are checked.
     """
-    return next(run_ensemble(n, h0, h1, p, 1, seed))
+    return run_from_path(draw_selection_path(n, p, seed), h0, h1, seed)
 
 
 def _chunks(
@@ -357,20 +350,6 @@ def _chunks(
         count = min(CHUNK, replications - start)
         words = _draw_words(_stream(seed, key, chunk, _PATH_WORDS), (count, n))
         yield chunk, _selection_bits(words, threshold)
-
-
-def run_ensemble(
-    n: int,
-    h0: ParentDistribution,
-    h1: ParentDistribution,
-    p: Fraction | str | float,
-    replications: int,
-    seed: int,
-) -> Iterator[SampleRun]:
-    """Yield independent runs in stream order; run i depends only on (seed, i)."""
-    _check_run(n, h0, h1)
-    for chunk, selected in _chunks(n, p, replications, seed, ()):
-        yield from _sample_runs(n, selected, _block_sums(selected, h0, h1, seed, (), chunk))
 
 
 def simulate_mean_ensemble(

@@ -32,7 +32,7 @@ from weaver.exact import (
     pmf_point_log2,
     realization_value,
 )
-from weaver.parents import gaussian, point_mass
+from weaver.parents import gaussian
 
 
 @contextmanager
@@ -179,10 +179,7 @@ def test_criterion_08_sampled_law_matches_exact_pmf():
     with criterion(8, "chi-squared fit of sampled Y_6 law", 30.0):
         n, p, reps = 6, Fraction(2, 3), 200_000
         params = WeaverParams(n=n, p=p)
-        h0, h1 = point_mass(0.0), point_mass(1.0)
-        indices = np.empty(reps, dtype=np.int64)
-        for i, run in enumerate(sampler.run_ensemble(n, h0, h1, p, reps, seed=77)):
-            indices[i] = run.path.k
+        indices = sampler.path_ensemble(n, p, reps, seed=77).astype(np.int64)
         observed = np.bincount(indices, minlength=1 << n)
         expected = np.array([float(pmf_point(k, params)) * reps for k in range(1 << n)])
         assert expected.min() > 200  # every cell is far from the sparse regime

@@ -25,6 +25,7 @@ from weaver.exact import (
     pmf_point_log2,
     realization_value,
 )
+from weaver.parents import point_mass
 
 # interior probabilities with small denominators, exercised exactly
 probabilities = st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100))
@@ -99,8 +100,8 @@ class TestSelectionPath:
 
     def test_ones_zeros(self):
         path = SelectionPath(n=5, k=0b10110)
-        assert path.ones == 3
-        assert path.n - path.ones == 2
+        assert path.k.bit_count() == 3
+        assert path.n - path.k.bit_count() == 2
 
     def test_out_of_range_index(self):
         with pytest.raises(RangeError):
@@ -120,6 +121,38 @@ class TestSelectionPath:
 def test_non_integer_index_is_a_range_error(call):
     # rejected where it is given, not as a TypeError in .bits or the cdf walk
     with pytest.raises(RangeError, match="integer"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: WeaverParams(n=True, p=Fraction(1, 3)),
+        lambda: SelectionPath(n=True, k=0),
+        lambda: geometric_triangle_row(True),
+        lambda: analysis.variance_decomposition(True),
+        lambda: sampler.path_ensemble(True, "1/2", 10, seed=0),
+        lambda: SelectionPath(n=1.5, k=0),
+        lambda: DyadicPoint(k=0, n=1.5),
+        lambda: realization_value(0, 1.5),
+        lambda: analysis.variance_decomposition(2.5),
+        lambda: analysis.pmodel_cell_masses(2.0, "1/2"),
+        lambda: sampler.draw_selection_path(2.0, "1/2", 0),
+        lambda: sampler.simulate_mean_ensemble(
+            2.0, point_mass(0.0), point_mass(1.0), "1/2", 10, seed=0
+        ),
+        lambda: cdf_grid(WeaverParams(n=3, p=Fraction(1, 3)), -1),
+    ],
+    ids=[
+        "WeaverParams-bool", "SelectionPath-bool", "triangle-bool", "decomposition-bool",
+        "path_ensemble-bool", "SelectionPath", "DyadicPoint", "realization_value",
+        "decomposition", "pmodel_cell_masses", "draw_selection_path", "simulate_mean_ensemble",
+        "cdf_grid-negative",
+    ],
+)
+def test_bad_depth_is_a_range_error(call):
+    # rejected where it is given: a bool or a float is no depth, nor is a resolution below 0
+    with pytest.raises(RangeError, match="depth must be an integer"):
         call()
 
 

@@ -162,7 +162,7 @@ class TestPublicSurface:
         "sampler": {
             "BERNOULLI_BITS", "CHUNK", "PATH_ONLY_CAP", "RAW_DRAW_CAP", "STREAM_VERSION",
             "UNIFORM_SLAB", "MomentReport", "SampleRun", "convergence_ks",
-            "draw_selection_path", "monte_carlo_moments", "path_ensemble", "run_ensemble",
+            "draw_selection_path", "monte_carlo_moments", "path_ensemble",
             "run_exponential_sample", "run_from_path", "simulate_mean_ensemble",
         },
         "parents": {

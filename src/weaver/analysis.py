@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from weaver.errors import RangeError
-from weaver.exact import WeaverParams, _check_cap, _check_depth, _check_probability
+from weaver.exact import WeaverParams, _check_cap, _check_integer, _check_probability
 
 
 @dataclass(frozen=True)
@@ -70,8 +69,7 @@ def exact_moment(params: WeaverParams, j: int) -> Fraction:
     Strictly decreasing in j for fixed parameters, since every interior
     support point lies strictly inside (0, 1).
     """
-    if j < 1:
-        raise RangeError(f"moment order must be positive, got {j}")
+    _check_integer(j, 1, "moment order")
     numerators, denominator = _moment_numerators(params, j)
     return Fraction(numerators[j], denominator * ((1 << params.n) - 1) ** j)
 
@@ -85,7 +83,7 @@ def variance_decomposition(n: int) -> DecompositionRow:
     diagonal); the two add up to the denominator exactly.  The split is
     the same for every p.
     """
-    _check_depth(n, 1)
+    _check_integer(n, 1)
     denom = ((1 << n) - 1) ** 2
     weaving = ((1 << 2 * n) - 1) // 3
     merging = 2 * ((1 << 2 * n) - 3 * (1 << n) + 2) // 3
@@ -99,12 +97,6 @@ def variance_decomposition(n: int) -> DecompositionRow:
     )
 
 
-def limit_variance(p: Fraction | str | float) -> Fraction:
-    """Limit of the conditional-mean variance as the depth grows: p*(1-p)/3."""
-    p = _check_probability(p)
-    return p * (1 - p) / 3
-
-
 def pmodel_cell_masses(n: int, p: Fraction | str | float) -> list[Fraction]:
     """Cell masses of the continuous halving cascade after n rounds.
 
@@ -114,7 +106,7 @@ def pmodel_cell_masses(n: int, p: Fraction | str | float) -> list[Fraction]:
     the same numbers as the pmf of W(n, p), which is the discretisation
     statement connecting the two models.
     """
-    _check_depth(n, 1)
+    _check_integer(n, 1)
     p = _check_probability(p)
     _check_cap(n, "cell mass vector")
     q = 1 - p

@@ -85,7 +85,8 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def build_parser() -> _Parser:
+def parse_config(argv: list[str]) -> argparse.Namespace:
+    """Parse and validate argv; usage errors exit with 1."""
     parser = _Parser(
         prog="weaver",
         description="Exact tables and Monte Carlo reports of the weaving cascade W(n, p).",
@@ -97,12 +98,7 @@ def build_parser() -> _Parser:
         sub.add_argument("--output", default="-", help="output path, '-' for stdout")
         for flag, options in flags:
             sub.add_argument(flag, **options)
-    return parser
-
-
-def parse_config(argv: list[str]) -> argparse.Namespace:
-    """Parse and validate argv; usage errors exit with 1."""
-    return build_parser().parse_args(argv)
+    return parser.parse_args(argv)
 
 
 def _check_digits(values: Iterable[int]) -> None:
@@ -395,7 +391,7 @@ def _moments_rows(args: argparse.Namespace) -> list[dict[str, Any]]:
     return [
         {"statistic": "mean", "value": args.p},
         {"statistic": "variance", "value": analysis.exact_variance(params)},
-        {"statistic": "limit_variance", "value": analysis.limit_variance(args.p)},
+        {"statistic": "limit_variance", "value": args.p * (1 - args.p) / 3},
     ] + [
         {"statistic": f"moment_{j}", "value": Fraction(numerators[j], denominator * support**j)}
         for j in range(1, args.max_order + 1)
@@ -457,7 +453,7 @@ _P = ("--p", dict(type=_parse_probability, required=True))
 
 #: Every command: its help text, its row builder, and its flags after
 #: --format and --output, in --help order, each as its name and its
-#: add_argument keywords.  build_parser and main both read this table.
+#: add_argument keywords.  parse_config and main both read this table.
 _COMMANDS = {
     "pmf": ("exact probability mass function over all leaves", _pmf_rows, [_N, _P]),
     "cdf": ("exact distribution function on the dyadic grid", _cdf_rows, [

@@ -11,6 +11,11 @@ the kernels of the 2**n tables in integer numerators over a common
 denominator.  Binary64 enters only through the one log-space point
 query, :func:`pmf_point_log2`, meant for depths far beyond the
 materialization cap; it carries a documented relative tolerance of 1e-12.
+
+Every integer argument of the package (depth, resolution, moment order,
+seed, replication count) is checked by :func:`_check_integer`: its type
+must be int itself, a bool or a float is refused, and so is a value below
+its least; p is read and checked by :func:`_check_probability` alone.
 """
 
 from __future__ import annotations
@@ -32,31 +37,21 @@ from weaver.errors import CapacityError, RangeError, RefinementError
 MATERIALIZATION_CAP = 19
 
 
-def as_exact_probability(value: Fraction | str | float | int) -> Fraction:
-    """Coerce ``value`` to an exact :class:`Fraction`.
+def _check_probability(value: Fraction | str | float | int) -> Fraction:
+    """``value`` as an exact Fraction strictly inside (0, 1), else a RangeError.
 
     Strings accept both fraction syntax (``"2/3"``) and decimal syntax
     (``"0.25"``); either parses exactly.  Floats are converted through
     their shortest decimal representation, never through their binary
-    expansion, so ``0.1`` becomes exactly ``1/10``.
+    expansion, so ``0.1`` becomes exactly ``1/10``.  A bool, or a value of
+    any other type, is a TypeError.
     """
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, bool):
         raise TypeError("probability must be a Fraction, str, float, or int")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(repr(value))
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as an exact probability")
-
-
-def _check_probability(value: Fraction | str | float | int) -> Fraction:
-    """``value`` as an exact Fraction strictly inside (0, 1), else a RangeError."""
+    if not isinstance(value, (Fraction, str, float, int)):
+        raise TypeError(f"cannot interpret {value!r} as an exact probability")
     try:
-        p = as_exact_probability(value)
+        p = Fraction(repr(value) if isinstance(value, float) else value)
     except (ValueError, ZeroDivisionError):  # "abc", "1/0", nan, inf
         raise RangeError(f"cannot parse {str(value)!r} as a fraction 'a/b' or a decimal")
     # the endpoints collapse the cascade onto a single leaf
@@ -79,7 +74,7 @@ class WeaverParams:
     p: Fraction
 
     def __post_init__(self) -> None:
-        _check_depth(self.n, 1)
+        _check_integer(self.n, 1)
         object.__setattr__(self, "p", _check_probability(self.p))
 
 
@@ -96,7 +91,7 @@ class SelectionPath:
     k: int
 
     def __post_init__(self) -> None:
-        _check_depth(self.n, 1)
+        _check_integer(self.n, 1)
         _check_leaf_index(self.k, self.n)
 
     @property
@@ -120,19 +115,15 @@ class DyadicPoint:
     n: int
 
     def __post_init__(self) -> None:
-        _check_depth(self.n, 0)
+        _check_integer(self.n, 0, "resolution")
         if type(self.k) is not int or not 0 <= self.k <= 1 << self.n:
             raise RangeError(f"k must be an integer in [0, 2**{self.n}], got {self.k!r}")
 
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.k, 1 << self.n)
 
-
-def _check_depth(n: int, least: int) -> None:
-    # type, not isinstance, as for a leaf index: a bool is no depth
-    if type(n) is not int or n < least:
-        raise RangeError(f"depth must be an integer >= {least}, got {n!r}")
+def _check_integer(value: int, least: int, what: str = "depth") -> None:
+    # type, not isinstance, as for a leaf index: a bool is no integer argument
+    if type(value) is not int or value < least:
+        raise RangeError(f"{what} must be an integer >= {least}, got {value!r}")
 
 
 def _check_leaf_index(k: int, n: int) -> None:
@@ -154,7 +145,7 @@ def realization_value(k: int, n: int) -> Fraction:
     The support is an equispaced lattice on [0, 1]; consecutive points
     differ by exactly 1 / (2**n - 1).
     """
-    _check_depth(n, 1)
+    _check_integer(n, 1)
     _check_leaf_index(k, n)
     return Fraction(k, (1 << n) - 1)
 
@@ -222,12 +213,20 @@ def geometric_triangle_row(n: int) -> list[int]:
     by row n shifted up by one.  The independent oracle of the tables,
     which read ones(k) from k.
     """
-    _check_depth(n, 0)
+    _check_integer(n, 0)
     _check_cap(n, "triangle row")
     row = [0]
     for _ in range(n):
         row += [e + 1 for e in row]
     return row
+
+
+def _check_refinement(resolution: int, params: WeaverParams) -> None:
+    if resolution > params.n:
+        raise RefinementError(
+            f"resolution {resolution} exceeds construction depth {params.n}; "
+            "the value is not yet stable"
+        )
 
 
 def cdf_at_dyadic(point: DyadicPoint, params: WeaverParams) -> Fraction:
@@ -240,11 +239,7 @@ def cdf_at_dyadic(point: DyadicPoint, params: WeaverParams) -> Fraction:
     left and right limits agree there; the endpoint 1 returns the total
     mass.
     """
-    if point.n > params.n:
-        raise RefinementError(
-            f"resolution {point.n} exceeds construction depth {params.n}; "
-            "the value is not yet stable"
-        )
+    _check_refinement(point.n, params)
     bound = point.k << (params.n - point.n)
     if bound >= 1 << params.n:
         return Fraction(1)
@@ -279,13 +274,9 @@ def cdf_grid(
     The sums come one at a time from an iterator, not as a list; the cap
     and refinement checks run when this is called, before the first one.
     """
-    _check_depth(resolution, 0)
+    _check_integer(resolution, 0, "resolution")
     _check_cap(resolution, "cdf grid")
-    if resolution > params.n:
-        raise RefinementError(
-            f"resolution {resolution} exceeds construction depth {params.n}; "
-            "the value is not yet stable"
-        )
+    _check_refinement(resolution, params)
     numerators, denominator = _mass_numerators(params.p, resolution)
     ones = map(int.bit_count, range(start, 1 << resolution))
     first = _cdf_numerator(params.p, resolution, start)

@@ -20,6 +20,8 @@ are replication 0 of the ensemble with their seed: ``draw_selection_path``
 reads chunk 0's path words, ``run_from_path`` reads chunk 0's block-sum
 streams for the path it is given, and ``run_exponential_sample`` is
 ``run_from_path(draw_selection_path(n, p, seed), h0, h1, seed)``.
+A seed is an int >= 0 and a replication count an int >= 1; a bool, a
+float or a numpy integer raises RangeError, as it does for a depth.
 
 This is the one module that imports numpy.  A parent population of
 :mod:`weaver.parents` is only a spec; every draw from it is a block sum
@@ -38,7 +40,7 @@ import numpy as np
 
 from weaver import _host, analysis
 from weaver.errors import CapacityError, ContractError, RangeError
-from weaver.exact import SelectionPath, WeaverParams, _check_depth, _check_probability, cdf_grid
+from weaver.exact import SelectionPath, WeaverParams, _check_integer, _check_probability, cdf_grid
 from weaver.parents import ParentDistribution, is_standardized
 
 #: Layout of the ensemble streams described above; realized samples
@@ -94,8 +96,7 @@ class MomentReport:
 
 
 def _stream(seed: int, key: tuple[int, ...], chunk: int, purpose: int) -> np.random.Generator:
-    if seed < 0:
-        raise RangeError(f"seed must be non-negative, got {seed}")
+    _check_integer(seed, 0, "seed")
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(*key, chunk, purpose))
     )
@@ -107,7 +108,7 @@ def _selection_threshold(p: Fraction) -> int:
 
 
 def _path_threshold(n: int, p: Fraction | str | float) -> int:
-    _check_depth(n, 1)
+    _check_integer(n, 1)
     if n > PATH_ONLY_CAP:
         raise CapacityError(f"path depth {n} above the path-only cap {PATH_ONLY_CAP}")
     return _selection_threshold(_check_probability(p))
@@ -147,7 +148,7 @@ def draw_selection_path(n: int, p: Fraction | str | float, seed: int) -> Selecti
 
 
 def _check_run(n: int, h0: ParentDistribution, h1: ParentDistribution) -> None:
-    _check_depth(n, 1)
+    _check_integer(n, 1)
     if n > RAW_DRAW_CAP:
         raise CapacityError(
             f"depth {n} draws 2**{n} - 1 observations, above the raw draw cap {RAW_DRAW_CAP}"
@@ -343,8 +344,7 @@ def _chunks(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """The ensemble chunk by chunk: the chunk's index and its boolean
     (count, n) selection grid (column j for block j + 1)."""
-    if replications < 1:
-        raise RangeError(f"replications must be positive, got {replications}")
+    _check_integer(replications, 1, "replications")
     threshold = _path_threshold(n, p)
     for chunk, start in enumerate(range(0, replications, CHUNK)):
         count = min(CHUNK, replications - start)
@@ -467,8 +467,7 @@ def convergence_ks(
     two depths or seeds share a stream.
     """
     p = _check_probability(p)
-    if resolution < 1:
-        raise RangeError(f"grid resolution must be positive, got {resolution}")
+    _check_integer(resolution, 1, "grid resolution")
     if any(d < resolution for d in depths):
         raise RangeError(
             f"every depth must be at least the grid resolution {resolution}"

@@ -164,10 +164,6 @@ class TestMergedAndLimit:
         assert mean == p
         assert variance == p * (1 - p)
 
-    @given(p=probabilities)
-    def test_limit_variance(self, p):
-        assert analysis.limit_variance(p) == p * (1 - p) / 3
-
     def test_variance_ratio_decreases_to_one_third(self):
         p = Fraction(2, 3)
         bernoulli = p * (1 - p)

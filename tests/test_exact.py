@@ -4,6 +4,7 @@ import math
 import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,6 @@ from weaver.exact import (
     DyadicPoint,
     SelectionPath,
     WeaverParams,
-    as_exact_probability,
     build_pmf_vector,
     cdf_at_dyadic,
     cdf_grid,
@@ -39,26 +39,30 @@ def brute_pmf(n: int, p: Fraction) -> list[Fraction]:
 
 
 class TestAsExactProbability:
+    """How exact._check_probability reads p as an exact Fraction."""
+
     def test_fraction_passthrough(self):
-        assert as_exact_probability(Fraction(2, 3)) == Fraction(2, 3)
+        assert exact._check_probability(Fraction(2, 3)) == Fraction(2, 3)
 
     def test_string_forms(self):
-        assert as_exact_probability("2/3") == Fraction(2, 3)
-        assert as_exact_probability("0.25") == Fraction(1, 4)
+        assert exact._check_probability("2/3") == Fraction(2, 3)
+        assert exact._check_probability("0.25") == Fraction(1, 4)
 
     def test_float_reads_as_decimal_literal(self):
         # 0.3 means the written decimal 3/10, not its binary64 neighbour
-        assert as_exact_probability(0.3) == Fraction(3, 10)
-        assert as_exact_probability(0.1) == Fraction(1, 10)
+        assert exact._check_probability(0.3) == Fraction(3, 10)
+        assert exact._check_probability(0.1) == Fraction(1, 10)
 
     def test_int_and_bool(self):
-        assert as_exact_probability(1) == Fraction(1)
-        with pytest.raises(TypeError):
-            as_exact_probability(True)
+        # an int is read, then refused by its range; a bool is no probability
+        with pytest.raises(RangeError, match=r"^p must lie strictly inside \(0, 1\), got 1$"):
+            exact._check_probability(1)
+        with pytest.raises(TypeError, match="^probability must be a Fraction, str, float, or int$"):
+            exact._check_probability(True)
 
     def test_garbage_rejected(self):
-        with pytest.raises(ValueError):
-            as_exact_probability("not-a-number")
+        with pytest.raises(RangeError):
+            exact._check_probability("not-a-number")
 
 
 class TestParams:
@@ -87,9 +91,9 @@ class TestParams:
         message = f"cannot parse '{text}' as a fraction 'a/b' or a decimal"
         with pytest.raises(RangeError) as params_error:
             WeaverParams(n=3, p=bad_p)
-        with pytest.raises(RangeError) as variance_error:
-            analysis.limit_variance(bad_p)
-        assert str(params_error.value) == str(variance_error.value) == message
+        with pytest.raises(RangeError) as cells_error:
+            analysis.pmodel_cell_masses(3, bad_p)
+        assert str(params_error.value) == str(cells_error.value) == message
 
 
 class TestSelectionPath:
@@ -124,6 +128,11 @@ def test_non_integer_index_is_a_range_error(call):
         call()
 
 
+PARENTS = (point_mass(0.0), point_mass(1.0))
+BAD_SEEDS = (1.5, True, -1)
+BAD_COUNTS = (1.5, True, 0)
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -142,17 +151,38 @@ def test_non_integer_index_is_a_range_error(call):
             2.0, point_mass(0.0), point_mass(1.0), "1/2", 10, seed=0
         ),
         lambda: cdf_grid(WeaverParams(n=3, p=Fraction(1, 3)), -1),
+        # every other integer argument is checked by the same rule
+        *(partial(sampler.path_ensemble, 4, "1/2", 10, seed) for seed in BAD_SEEDS),
+        *(partial(sampler.path_ensemble, 4, "1/2", reps, 0) for reps in BAD_COUNTS),
+        *(partial(sampler.simulate_mean_ensemble, 4, *PARENTS, "1/2", 10, seed)
+          for seed in BAD_SEEDS),
+        *(partial(sampler.simulate_mean_ensemble, 4, *PARENTS, "1/2", reps, 0)
+          for reps in BAD_COUNTS),
+        *(partial(analysis.exact_moment, WeaverParams(n=3, p=Fraction(1, 3)), order)
+          for order in BAD_COUNTS),
+        *(partial(sampler.convergence_ks, "1/2", *PARENTS, (4,), resolution, 10, 0)
+          for resolution in (2.5, True, 0)),
     ],
     ids=[
         "WeaverParams-bool", "SelectionPath-bool", "triangle-bool", "decomposition-bool",
         "path_ensemble-bool", "SelectionPath", "DyadicPoint", "realization_value",
         "decomposition", "pmodel_cell_masses", "draw_selection_path", "simulate_mean_ensemble",
         "cdf_grid-negative",
+        *(
+            f"{call}-{case}"
+            for call in (
+                "path_ensemble-seed", "path_ensemble-replications",
+                "simulate_mean_ensemble-seed", "simulate_mean_ensemble-replications",
+                "exact_moment-order", "convergence_ks-resolution",
+            )
+            for case in ("float", "bool", "below")
+        ),
     ],
 )
 def test_bad_depth_is_a_range_error(call):
-    # rejected where it is given: a bool or a float is no depth, nor is a resolution below 0
-    with pytest.raises(RangeError, match="depth must be an integer"):
+    # rejected where it is given: a bool or a float is no depth, resolution,
+    # order, seed or count, nor is a value below its least
+    with pytest.raises(RangeError, match="must be an integer >= "):
         call()
 
 
@@ -360,9 +390,6 @@ class TestGeometricTriangle:
 
 
 class TestDyadicPoint:
-    def test_value(self):
-        assert DyadicPoint(k=3, n=3).value == Fraction(3, 8)
-
     def test_bounds(self):
         DyadicPoint(k=0, n=0)
         DyadicPoint(k=1, n=0)

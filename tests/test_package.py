@@ -150,14 +150,14 @@ class TestPublicSurface:
 
     SURFACE = {
         "exact": {
-            "MATERIALIZATION_CAP", "as_exact_probability", "WeaverParams", "SelectionPath",
+            "MATERIALIZATION_CAP", "WeaverParams", "SelectionPath",
             "WeaverDist", "DyadicPoint", "realization_value", "pmf_point", "pmf_point_log2",
             "build_pmf_vector", "geometric_triangle_row", "cdf_at_dyadic", "cdf_grid",
             "jump_spectrum",
         },
         "analysis": {
             "DecompositionRow", "exact_variance", "exact_moment", "variance_decomposition",
-            "limit_variance", "pmodel_cell_masses",
+            "pmodel_cell_masses",
         },
         "sampler": {
             "BERNOULLI_BITS", "CHUNK", "PATH_ONLY_CAP", "RAW_DRAW_CAP", "STREAM_VERSION",
@@ -169,7 +169,7 @@ class TestPublicSurface:
             "STANDARDIZATION_TOL", "ParentDistribution", "point_mass", "bernoulli",
             "uniform_interval", "gaussian", "standardize_parents", "is_standardized",
         },
-        "cli": {"build_parser", "emit_table", "main", "parse_config"},
+        "cli": {"emit_table", "main", "parse_config"},
         "errors": {
             "WeaverError", "RangeError", "CapacityError", "RefinementError",
             "DegeneracyError", "ContractError",

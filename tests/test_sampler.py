@@ -412,7 +412,8 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("resolution", [0, -1])
     def test_convergence_resolution_must_be_positive(self, resolution):
-        with pytest.raises(RangeError, match="resolution must be positive"):
+        message = f"grid resolution must be an integer >= 1, got {resolution}"
+        with pytest.raises(RangeError, match=f"^{message}$"):
             sampler.convergence_ks(
                 Fraction(1, 2), *STANDARD, depths=(2,), resolution=resolution,
                 replications=100, seed=0,
@@ -504,7 +505,7 @@ class TestChunkedStreams:
         ids=["paths", "means", "convergence", "path", "run", "run-from-path"],
     )
     def test_negative_seed_rejected(self, draw):
-        with pytest.raises(RangeError, match="seed must be non-negative, got -1"):
+        with pytest.raises(RangeError, match="^seed must be an integer >= 0, got -1$"):
             draw(-1)
         draw(0)
 

@@ -101,16 +101,16 @@ def parse_config(argv: list[str]) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _check_digits(values: Iterable[int]) -> None:
-    """Refuse a table that would print one of ``values`` before its first
-    byte: str() of an int with more than sys.get_int_max_str_digits()
-    digits raises."""
-    limit = sys.get_int_max_str_digits()
-    if limit and max(map(abs, values), default=0) >= 10**limit:
+def _digits(value: int) -> str:
+    """str() of an int cell, or a CapacityError where str() raises: an int
+    of more than sys.get_int_max_str_digits() digits has no text."""
+    try:
+        return str(value)
+    except ValueError:
         raise CapacityError(
-            f"a table cell needs an integer of more than {limit} digits, "
+            f"a table cell needs an integer of more than {sys.get_int_max_str_digits()} digits, "
             "above Python's int-to-str limit (PYTHONINTMAXSTRDIGITS raises it)"
-        )
+        ) from None
 
 
 def _rational(num: int, den: int) -> tuple[str, str]:
@@ -118,15 +118,14 @@ def _rational(num: int, den: int) -> tuple[str, str]:
     lowest terms (``num`` alone over 1) and the binary64 repr, as str() and
     float() of a Fraction give them; int true division rounds as
     Fraction.__float__ does.  A text past the int-to-str limit is refused
-    as :func:`_check_digits` refuses it.
+    by :func:`_digits`.
     """
     divisor = gcd(num, den)
     num, den = num // divisor, den // divisor
     try:
         text = str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
-        _check_digits((num, den))
-        raise
+        text = _digits(num) if den == 1 else f"{_digits(num)}/{_digits(den)}"
     return text, repr(num / den)
 
 
@@ -140,8 +139,7 @@ _Rows = Callable[[int, int], Iterable[tuple[str, ...]]]
 
 class _Table:
     """A table as the writers take it: its ``columns``, declared before
-    any row, ``len()`` rows, any range of them by ``rows(start, stop)``,
-    and all of them by ``iter()``.
+    any row, and ``len()`` rows, any range of them by ``rows(start, stop)``.
 
     A row is a tuple of cell texts, already rendered: one text per scalar
     column and two per rational column, the exact and approx texts of
@@ -157,15 +155,13 @@ class _Table:
     def __len__(self) -> int:
         return self._count
 
-    def __iter__(self) -> Iterator[tuple[str, ...]]:
-        return iter(self.rows(0, self._count))
-
 
 def _listed(rows: list[dict[str, Any]], format: str) -> _Table:
     """A small list table with its cells rendered for ``format``: each
-    Fraction through :func:`_rational`, which refuses a text past the
-    int-to-str limit, and any other value through str() in CSV or
-    json.dumps() in JSON.  The columns are the first row's keys."""
+    Fraction through :func:`_rational` and each int (not a bool) through
+    :func:`_digits`, which refuse a text past the int-to-str limit, and
+    any other value through str() in CSV or json.dumps() in JSON.  The
+    columns are the first row's keys."""
     scalar = str if format == "csv" else json.dumps
     texts = []
     for row in rows:
@@ -174,7 +170,7 @@ def _listed(rows: list[dict[str, Any]], format: str) -> _Table:
             if isinstance(value, Fraction):
                 cells += _rational(value.numerator, value.denominator)
             else:
-                cells.append(scalar(value))
+                cells.append(_digits(value) if type(value) is int else scalar(value))
         texts.append(tuple(cells))
     columns = [(key, isinstance(value, Fraction)) for key, value in rows[0].items()]
     return _Table(columns, len(texts), lambda start, stop: texts[start:stop])
@@ -352,7 +348,7 @@ def _cdf_rows(args: argparse.Namespace) -> _Table:
     # Every F is t / d**m with 0 <= t <= d**m, and F at 1/2**m is in
     # lowest terms
     denominator = exact.cdf_grid(params, resolution)[1]
-    _check_digits([denominator])
+    _digits(denominator)
     scale = 1 << resolution
 
     def rows(start: int, stop: int) -> Iterator[tuple[str, ...]]:
@@ -398,13 +394,20 @@ def _moments_rows(args: argparse.Namespace) -> list[dict[str, Any]]:
     ]
 
 
+def _by_depth(row: Callable[[int], dict], args: argparse.Namespace) -> list[dict[str, Any]]:
+    """The rows of depths 1 to args.n, whose cells widen with the depth:
+    rendering the last row first refuses a depth past the int-to-str limit
+    before any other row is built."""
+    last = row(args.n)
+    _listed([last], args.format)
+    return [row(n) for n in range(1, args.n)] + [last]
+
+
 def _decompose_rows(args: argparse.Namespace) -> list[dict[str, Any]]:
-    # the last denom, (2**n - 1)**2, is the widest cell: checked before any
-    # row is built.  The fields are in column order.
-    _check_digits([((1 << args.n) - 1) ** 2])
     from weaver import analysis
 
-    return [vars(analysis.variance_decomposition(n)) for n in range(1, args.n + 1)]
+    # the fields are in column order
+    return _by_depth(lambda n: vars(analysis.variance_decomposition(n)), args)
 
 
 def _sample_rows(args: argparse.Namespace) -> list[dict[str, Any]]:
@@ -424,11 +427,7 @@ def _converge_rows(args: argparse.Namespace) -> list[dict[str, Any]]:
         variance = analysis.exact_variance(WeaverParams(n=n, p=args.p))
         return {"n": n, "variance": variance, "ratio": variance / bernoulli_variance}
 
-    # the cells widen with n: rendering the last row first refuses a depth
-    # past the int-to-str limit before any other row is built
-    last = row(args.n)
-    _listed([last], args.format)
-    return [row(n) for n in range(1, args.n)] + [last]
+    return _by_depth(row, args)
 
 
 def _density_rows(args: argparse.Namespace) -> _Table:

@@ -51,7 +51,7 @@ def _check_probability(value: Fraction | str | float | int) -> Fraction:
     if not isinstance(value, (Fraction, str, float, int)):
         raise TypeError(f"cannot interpret {value!r} as an exact probability")
     try:
-        p = Fraction(repr(value) if isinstance(value, float) else value)
+        p = Fraction(float.__repr__(value) if isinstance(value, float) else value)
     except (ValueError, ZeroDivisionError):  # "abc", "1/0", nan, inf
         raise RangeError(f"cannot parse {str(value)!r} as a fraction 'a/b' or a decimal")
     # the endpoints collapse the cascade onto a single leaf

@@ -130,15 +130,11 @@ def _parse_spec(spec: str) -> ParentDistribution:
             f"unknown parent family {name!r}; expected one of "
             "point:c, bernoulli:q, uniform:a,b, gauss:mean,variance"
         )
-    family = _SPEC_FAMILIES[key]
-    arity = _FAMILIES[family][0]
     try:
         args = [float(a) for a in arg_text.split(",")] if arg_text else []
     except ValueError:
         raise RangeError(f"bad numeric parameters in parent spec {spec!r}") from None
-    if len(args) != arity:
-        raise RangeError(f"parent family {name!r} takes {arity} parameter(s), got {len(args)}")
-    return ParentDistribution(family, tuple(args))
+    return ParentDistribution(_SPEC_FAMILIES[key], tuple(args))
 
 
 def _parse_pair(text: str) -> tuple[ParentDistribution, ParentDistribution]:

@@ -409,10 +409,7 @@ def monte_carlo_moments(
     finite raises :class:`RangeError` instead of being reported, and so
     does a standard error that underflows to 0 (point masses at tiny p).
     """
-    if replications < 100:
-        raise RangeError(
-            f"at least 100 replications are needed for a moment report, got {replications}"
-        )
+    _check_integer(replications, 100, "replications of a moment report")
     p = _check_probability(p)
     with np.errstate(over="ignore", invalid="ignore"):
         means = simulate_mean_ensemble(n, h0, h1, p, replications, seed)

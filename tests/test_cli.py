@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from weaver import _host, analysis, cli, exact, sampler
-from weaver.errors import RangeError
+from weaver.errors import CapacityError, RangeError
 from weaver.exact import WeaverParams
 
 
@@ -193,7 +193,7 @@ class TestRowView:
         assert list(table.columns) == [
             (key, isinstance(value, Fraction)) for key, value in oracle[0].items()
         ]
-        assert list(table) == [
+        assert list(table.rows(0, len(table))) == [
             tuple(text for value in row.values() for _, text in _cell(value)) for row in oracle
         ]
 
@@ -761,6 +761,7 @@ class TestUsageErrors:
             ("uniform:1,0;point:1", "uniform interval needs a < b, got (1.0, 0.0)"),
             ("bernoulli:2;point:0", "bernoulli parameter must lie in [0, 1], got 2.0"),
             ("gauss:0,nan;gauss:1,1", "gaussian parameters must be finite, got (0.0, nan)"),
+            ("gauss:1;gauss:1,1", "gaussian takes 2 parameter(s), got 1"),
         ],
     )
     def test_rejected_parent_stderr(self, capsys, monkeypatch, spec, message):
@@ -967,20 +968,35 @@ class TestDigitLimit:
         assert run_cli(capsys, *argv, "--output", str(target)) == (2, "", self.MESSAGE)
         assert not target.exists()
 
-    def test_converge_refused_from_its_last_row(self, capsys, tmp_path, digit_limit, monkeypatch):
-        # 2**n - 1 still fits at depth 14282; the last row's variance cell does not
+    @pytest.mark.parametrize(
+        "argv, builder",
+        [
+            # 2**n - 1 still fits at depth 14282; the last row's variance cell does not
+            (("converge", "--n", "14282", "--p", "1/2"), "exact_variance"),
+            # the last row's denom, (2**n - 1)**2, is one digit too long
+            (("decompose", "--n", "7143"), "variance_decomposition"),
+        ],
+        ids=lambda value: value[0] if isinstance(value, tuple) else value,
+    )
+    def test_refused_from_its_last_row(self, capsys, tmp_path, digit_limit, monkeypatch,
+                                       argv, builder):
         calls = []
-        variance = analysis.exact_variance
-        monkeypatch.setattr(
-            analysis, "exact_variance", lambda params: calls.append(params) or variance(params)
-        )
+        build = getattr(analysis, builder)
+        monkeypatch.setattr(analysis, builder, lambda arg: calls.append(arg) or build(arg))
         target = tmp_path / "table"
         for output in ("-", str(target)):
             calls.clear()
-            argv = ("converge", "--n", "14282", "--p", "1/2", "--output", output)
-            assert run_cli(capsys, *argv) == (2, "", self.MESSAGE)
+            assert run_cli(capsys, *argv, "--output", output) == (2, "", self.MESSAGE)
             assert len(calls) <= 1
         assert not target.exists()
+
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    def test_int_cell_of_a_list_table(self, capsys, digit_limit, format):
+        # a scalar int cell is refused as a rational one is, not as a bare ValueError
+        with pytest.raises(CapacityError) as refused:
+            cli.emit_table([{"denom": 10**4301}], format, "-")
+        assert f"weaver: error: {refused.value}\n" == self.MESSAGE
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize(
         "argv, longest",

@@ -6,6 +6,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,9 +50,14 @@ class TestAsExactProbability:
         assert exact._check_probability("0.25") == Fraction(1, 4)
 
     def test_float_reads_as_decimal_literal(self):
-        # 0.3 means the written decimal 3/10, not its binary64 neighbour
+        # 0.3 means the written decimal 3/10, not its binary64 neighbour; a
+        # float subclass is read through float's own repr, which numpy 2
+        # overrides, and a numpy float32 is no float
         assert exact._check_probability(0.3) == Fraction(3, 10)
         assert exact._check_probability(0.1) == Fraction(1, 10)
+        assert WeaverParams(n=3, p=np.float64(0.3)).p == Fraction(3, 10)
+        with pytest.raises(TypeError, match="^cannot interpret "):
+            exact._check_probability(np.float32(0.3))
 
     def test_int_and_bool(self):
         # an int is read, then refused by its range; a bool is no probability

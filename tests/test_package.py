@@ -90,7 +90,7 @@ class TestNoNumpy:
     @pytest.mark.parametrize(
         "spec",
         ["gauss:0,-1;gauss:1,1", "uniform:1,0;point:1", "bernoulli:2;point:0",
-         "gauss:0,nan;gauss:1,1"],
+         "gauss:0,nan;gauss:1,1", "gauss:1;gauss:1,1"],
     )
     def test_rejected_spec_exits_1_without_numpy(self, spec):
         assert not _loaded(_REJECTED.format(argv=[*_SAMPLE, "--parents", spec]), "numpy")
@@ -214,3 +214,29 @@ class TestReadme:
             env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         )
         assert result.returncode == 0, result.stderr
+
+
+class TestWorkflow:
+    """The CI workflow parses, tests the package's Python floor, and runs
+    files that exist.  PyYAML is no test extra, so without it these skip."""
+
+    @staticmethod
+    def _job() -> dict:
+        yaml = pytest.importorskip("yaml")
+        workflow = yaml.safe_load((ROOT / ".github/workflows/tests.yml").read_text())
+        return workflow["jobs"]["tier-1"]
+
+    def test_lowest_python_is_the_floor(self):
+        matrix = self._job()["strategy"]["matrix"]
+        versions = matrix["python-version"] + [row["python-version"] for row in matrix["include"]]
+        pyproject = (ROOT / "pyproject.toml").read_text()
+        floor = re.search(r'requires-python = ">=(\d+)\.(\d+)', pyproject)
+        # a version written unquoted would be read as a float, 3.10 as 3.1
+        lowest = min(tuple(map(int, str(version).split("."))) for version in versions)
+        assert lowest == tuple(map(int, floor.groups()))
+
+    def test_run_steps_name_files_that_exist(self):
+        runs = "\n".join(step.get("run", "") for step in self._job()["steps"])
+        paths = re.findall(r"(?<![\w/$])(?:tests|bench)/[\w./-]+", runs)
+        assert paths
+        assert [path for path in paths if not (ROOT / path).is_file()] == []

@@ -341,8 +341,11 @@ class TestMonteCarlo:
             assert abs(observed[k] - reps * cell) < 4 * sigma
 
     def test_replication_floor(self):
-        with pytest.raises(RangeError):
-            sampler.monte_carlo_moments(4, *STANDARD, Fraction(1, 2), 99, seed=0)
+        # one integer rule, with the report's least: a float, a bool or a
+        # numpy integer is refused as 99 is
+        for replications in (99, 150.0, True, np.int64(200)):
+            with pytest.raises(RangeError, match="must be an integer >= 100, got "):
+                sampler.monte_carlo_moments(4, *STANDARD, Fraction(1, 2), replications, seed=0)
 
     def test_overflowing_statistics_rejected(self):
         # finite parents whose spread overflows binary64 in the variance

@@ -12,14 +12,13 @@ and a "merging" share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from weaver.exact import WeaverParams, _check_cap, _check_integer, _check_probability
 
 
-@dataclass(frozen=True)
-class DecompositionRow:
+class DecompositionRow(NamedTuple):
     """Integer skeleton of the variance split at depth n.
 
     weaving + merging == denom, and the shares sum to 1; multiplying

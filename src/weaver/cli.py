@@ -21,7 +21,8 @@ copies the child's bytes in after them.  The bytes are the same as on
 one process.
 
 `sample --parents` takes two specs that weaver.parents parses; a spec it
-rejects is a usage error.  Only a `sample` run, as it draws, loads numpy.
+rejects is a usage error.  Only a `sample` run, as it draws, loads numpy,
+and only JSON output loads json; no run loads dataclasses.
 
 Exit status: 0 on success, 1 on a usage error, 2 on a runtime, capacity,
 or I/O error.
@@ -30,7 +31,6 @@ or I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -162,7 +162,10 @@ def _listed(rows: list[dict[str, Any]], format: str) -> _Table:
     :func:`_digits`, which refuse a text past the int-to-str limit, and
     any other value through str() in CSV or json.dumps() in JSON.  The
     columns are the first row's keys."""
-    scalar = str if format == "csv" else json.dumps
+    scalar = str
+    if format != "csv":
+        import json  # JSON output alone loads it
+        scalar = json.dumps
     texts = []
     for row in rows:
         cells: list[str] = []
@@ -187,6 +190,8 @@ def _json_layout(columns: _Columns) -> tuple[str, str, str, str]:
     # rational as an {"exact", "approx"} object; json writes an int as
     # str() does and a finite float as repr() does, and an exact text
     # (digits, '-', '/') needs no escape
+    import json
+
     rational = '{\n      "exact": "%s",\n      "approx": %s\n    }'
     fields = [
         f"    {json.dumps(name).replace('%', '%%')}: {rational if is_rational else '%s'}"
@@ -407,7 +412,7 @@ def _decompose_rows(args: argparse.Namespace) -> list[dict[str, Any]]:
     from weaver import analysis
 
     # the fields are in column order
-    return _by_depth(lambda n: vars(analysis.variance_decomposition(n)), args)
+    return _by_depth(lambda n: analysis.variance_decomposition(n)._asdict(), args)
 
 
 def _sample_rows(args: argparse.Namespace) -> list[dict[str, Any]]:
@@ -415,7 +420,7 @@ def _sample_rows(args: argparse.Namespace) -> list[dict[str, Any]]:
 
     h0, h1 = parents.standardize_parents(*args.parents)
     report = sampler.monte_carlo_moments(args.n, h0, h1, args.p, args.reps, args.seed)
-    return [{"n": args.n, "p": args.p, "seed": args.seed, **vars(report)}]
+    return [{"n": args.n, "p": args.p, "seed": args.seed, **report._asdict()}]
 
 
 def _converge_rows(args: argparse.Namespace) -> list[dict[str, Any]]:

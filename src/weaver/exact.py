@@ -21,11 +21,10 @@ its least; p is read and checked by :func:`_check_probability` alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
-from typing import Iterator
+from typing import Any, Iterable, Iterator, NamedTuple
 
 from weaver.errors import CapacityError, RangeError, RefinementError
 
@@ -60,8 +59,16 @@ def _check_probability(value: Fraction | str | float | int) -> Fraction:
     return p
 
 
-@dataclass(frozen=True)
-class WeaverParams:
+class _Checked:
+    # first base of a checked record: namedtuple's _make, and so _replace, skips __new__
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields: Iterable[Any]) -> Any:
+        return cls(*fields)
+
+
+class WeaverParams(_Checked, NamedTuple("WeaverParams", [("n", int), ("p", Fraction)])):
     """Parameters of W(n, p): the number of selections and the selection bias.
 
     ``p`` may be given as a Fraction, a string, or a float; it is stored
@@ -70,16 +77,14 @@ class WeaverParams:
     onto a single leaf and break every ratio identity.
     """
 
-    n: int
-    p: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_integer(self.n, 1)
-        object.__setattr__(self, "p", _check_probability(self.p))
+    def __new__(cls, n: int, p: Fraction | str | float) -> WeaverParams:
+        _check_integer(n, 1)
+        return super().__new__(cls, n, _check_probability(p))
 
 
-@dataclass(frozen=True)
-class SelectionPath:
+class SelectionPath(_Checked, NamedTuple("SelectionPath", [("n", int), ("k", int)])):
     """One vector of n binary selections, encoded as the integer k.
 
     Bit j of ``k`` records the outcome of selection j+1 (the block of
@@ -87,37 +92,35 @@ class SelectionPath:
     most-significant selection first.
     """
 
-    n: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_integer(self.n, 1)
-        _check_leaf_index(self.k, self.n)
+    def __new__(cls, n: int, k: int) -> SelectionPath:
+        _check_integer(n, 1)
+        _check_leaf_index(k, n)
+        return super().__new__(cls, n, k)
 
     @property
     def bits(self) -> tuple[int, ...]:
         return tuple((self.k >> j) & 1 for j in range(self.n - 1, -1, -1))
 
 
-@dataclass(frozen=True)
-class WeaverDist:
+class WeaverDist(NamedTuple):
     """W(n, p) together with its materialized pmf vector."""
 
     params: WeaverParams
     pmf: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class DyadicPoint:
+class DyadicPoint(_Checked, NamedTuple("DyadicPoint", [("k", int), ("n", int)])):
     """The point k / 2**n of the dyadic grid at resolution n."""
 
-    k: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_integer(self.n, 0, "resolution")
-        if type(self.k) is not int or not 0 <= self.k <= 1 << self.n:
-            raise RangeError(f"k must be an integer in [0, 2**{self.n}], got {self.k!r}")
+    def __new__(cls, k: int, n: int) -> DyadicPoint:
+        _check_integer(n, 0, "resolution")
+        if type(k) is not int or not 0 <= k <= 1 << n:
+            raise RangeError(f"k must be an integer in [0, 2**{n}], got {k!r}")
+        return super().__new__(cls, k, n)
 
 
 def _check_integer(value: int, least: int, what: str = "depth") -> None:
@@ -271,10 +274,10 @@ def cdf_grid(
     equals :func:`cdf_at_dyadic` at k / 2**m, which stays the O(n) point
     query.
 
-    The sums come one at a time from an iterator, not as a list; the cap
-    and refinement checks run when this is called, before the first one.
+    The sums come one at a time from an iterator, not as a list; every
+    check, of ``start`` too, runs at this call, before the first one.
     """
-    _check_integer(resolution, 0, "resolution")
+    DyadicPoint(start, resolution)  # checks the resolution, and the start as k in [0, 2**m]
     _check_cap(resolution, "cdf grid")
     _check_refinement(resolution, params)
     numerators, denominator = _mass_numerators(params.p, resolution)

@@ -13,10 +13,10 @@ draw is a block sum of :mod:`weaver.sampler`, one sampler per family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from weaver.errors import DegeneracyError, RangeError
+from weaver.exact import _Checked
 
 #: Absolute slack allowed when checking that a pair of parents has been
 #: standardized to means exactly 0 and 1 (float round-off only).
@@ -42,8 +42,8 @@ _FAMILIES: dict[str, tuple[int, Callable[..., float], Callable[..., float], Call
 }
 
 
-@dataclass(frozen=True)
-class ParentDistribution:
+class ParentDistribution(_Checked, NamedTuple("ParentDistribution", [
+    ("family", str), ("params", tuple[float, ...]), ("scale", float), ("shift", float)])):
     """One population, as ``scale * X + shift`` over a base family.
 
     ``params`` are the natural parameters of the base family:
@@ -53,26 +53,23 @@ class ParentDistribution:
     :class:`RangeError` is raised.
     """
 
-    family: str
-    params: tuple[float, ...]
-    scale: float = 1.0
-    shift: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise RangeError(
-                f"unknown family {self.family!r}; expected one of {tuple(_FAMILIES)}"
-            )
-        arity, _, _, range_error = _FAMILIES[self.family]
-        if len(self.params) != arity:
-            raise RangeError(f"{self.family} takes {arity} parameter(s), got {len(self.params)}")
+    def __new__(cls, family: str, params: tuple[float, ...], scale: float = 1.0,
+                shift: float = 0.0) -> ParentDistribution:
+        if family not in _FAMILIES:
+            raise RangeError(f"unknown family {family!r}; expected one of {tuple(_FAMILIES)}")
+        arity, _, _, range_error = _FAMILIES[family]
+        if len(params) != arity:
+            raise RangeError(f"{family} takes {arity} parameter(s), got {len(params)}")
         # the range first: a NaN probability is reported as outside [0, 1]
-        if message := range_error(*self.params):
+        if message := range_error(*params):
             raise RangeError(message)
-        if not all(math.isfinite(value) for value in self.params):
-            raise RangeError(f"{self.family} parameters must be finite, got {self.params}")
-        if not (math.isfinite(self.scale) and math.isfinite(self.shift)):
-            raise RangeError(f"scale and shift must be finite, got {self.scale} and {self.shift}")
+        if not all(math.isfinite(value) for value in params):
+            raise RangeError(f"{family} parameters must be finite, got {params}")
+        if not (math.isfinite(scale) and math.isfinite(shift)):
+            raise RangeError(f"scale and shift must be finite, got {scale} and {shift}")
+        return super().__new__(cls, family, params, scale, shift)
 
     @property
     def mean(self) -> float:
@@ -170,7 +167,7 @@ def standardize_parents(
         )
 
     def _apply(h: ParentDistribution) -> ParentDistribution:
-        return replace(h, scale=h.scale * slope, shift=(h.shift - mu0) * slope)
+        return ParentDistribution(h.family, h.params, h.scale * slope, (h.shift - mu0) * slope)
 
     return _apply(h0), _apply(h1)
 

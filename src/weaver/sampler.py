@@ -31,10 +31,9 @@ here, from its family's one sampler (a single draw is a block of one).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import isfinite, sqrt
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -70,8 +69,7 @@ UNIFORM_SLAB = 1 << 17
 _PATH_WORDS, _H0_SUMS, _H1_SUMS = 0, 1, 2
 
 
-@dataclass(frozen=True)
-class SampleRun:
+class SampleRun(NamedTuple):
     """One realization: the path, the block sums, and the derived means."""
 
     n: int
@@ -82,8 +80,7 @@ class SampleRun:
     conditional_mean: Fraction
 
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(NamedTuple):
     """Monte Carlo moments of the sample mean against their closed forms."""
 
     replications: int
@@ -432,11 +429,10 @@ def monte_carlo_moments(
         standard_error=standard_error,
         z_score=z_score,
     )
-    for field in fields(report):
-        value = getattr(report, field.name)
+    for name, value in report._asdict().items():
         if isinstance(value, float) and not isfinite(value):
             raise RangeError(
-                f"{field.name} is {value}: the parents' spread overflows binary64"
+                f"{name} is {value}: the parents' spread overflows binary64"
             )
     return report
 

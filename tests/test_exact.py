@@ -507,6 +507,16 @@ class TestCdfGrid:
             assert den == p.denominator**m
             assert list(sums) == whole[start:], start
 
+    @pytest.mark.parametrize("start", [-1, 9, True, 1.0, "1"], ids=repr)
+    def test_bad_start_refused_before_the_first_sum(self, start):
+        # unchecked, -1 ran F above 1, 9 gave a single row of 1, and True read as 1
+        with pytest.raises(RangeError, match=r"^k must be an integer in \[0, 2\*\*3\], got "):
+            cdf_grid(WeaverParams(n=3, p="1/3"), 3, start)
+
+    def test_start_at_the_end_yields_the_last_row(self):
+        sums, den = cdf_grid(WeaverParams(n=3, p="1/3"), 3, 8)
+        assert (list(sums), den) == ([27], 27)
+
     def test_unstable_resolution_rejected(self):
         with pytest.raises(RefinementError, match="exceeds construction depth 3"):
             cdf_grid(WeaverParams(n=3, p=Fraction(1, 2)), 4)

@@ -1,5 +1,8 @@
 """The package root: it binds no names, numpy loads only with weaver.sampler,
-and weaver.analysis only with the tables that use it."""
+and weaver.analysis only with the tables that use it.  No run loads
+dataclasses, and only JSON output loads json; the records are NamedTuples
+that keep the contract of frozen records, and check their values again in
+_replace."""
 
 import ast
 import os
@@ -7,11 +10,17 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import weaver
+from weaver.analysis import DecompositionRow
+from weaver.errors import RangeError
+from weaver.exact import DyadicPoint, SelectionPath, WeaverDist, WeaverParams
+from weaver.parents import ParentDistribution
+from weaver.sampler import MomentReport, SampleRun
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -98,6 +107,114 @@ class TestNoNumpy:
     def test_sample_imports_numpy_and_runs(self):
         argv = ["sample", "--n", "4", "--p", "1/3", "--reps", "200", "--seed", "5"]
         assert _loaded(_RUN_CLI.format(argv=argv), "numpy")
+
+
+# one small run of each command, as CSV
+_CSV_RUNS = [
+    ["pmf", "--n", "4", "--p", "2/3"],
+    ["cdf", "--n", "4", "--p", "1/3"],
+    ["triangle", "--n", "3"],
+    ["moments", "--n", "4", "--p", "3/7"],
+    ["decompose", "--n", "4"],
+    ["sample", "--n", "4", "--p", "1/3", "--reps", "200", "--seed", "5"],
+    ["converge", "--n", "4", "--p", "1/4"],
+    ["density", "--n", "3", "--p", "7/10"],
+]
+
+
+class TestStartup:
+    """What a run loads that it does not execute shows in every start-up."""
+
+    @pytest.mark.parametrize("argv", [*_CSV_RUNS, ["--help"], ["sample", "--help"]], ids=" ".join)
+    def test_no_run_loads_dataclasses(self, argv):
+        assert not _loaded(_RUN_CLI.format(argv=argv), "dataclasses")
+
+    @pytest.mark.parametrize("module", ["weaver.exact", "weaver.parents", "weaver.sampler"])
+    def test_no_module_loads_dataclasses(self, module):
+        assert not _loaded(f"import {module}", "dataclasses")
+
+    @pytest.mark.parametrize("argv", [*_CSV_RUNS, ["--help"]], ids=" ".join)
+    def test_csv_runs_never_load_json(self, argv):
+        assert not _loaded(_RUN_CLI.format(argv=argv), "json")
+
+    @pytest.mark.parametrize(
+        "argv", [["triangle", "--n", "3"], ["moments", "--n", "4", "--p", "3/7"]], ids=" ".join
+    )
+    def test_json_output_loads_json(self, argv):
+        assert _loaded(_RUN_CLI.format(argv=[*argv, "--format", "json"]), "json")
+
+
+# each record: its fields in order, its repr, and for a record that checks
+# its values, field changes that its constructor refuses
+_RECORDS = [
+    (WeaverParams, {"n": 3, "p": Fraction(1, 3)}, "WeaverParams(n=3, p=Fraction(1, 3))",
+     [{"n": 0}, {"n": True}, {"p": Fraction(1)}, {"p": "abc"}]),
+    (SelectionPath, {"n": 3, "k": 5}, "SelectionPath(n=3, k=5)", [{"k": 8}, {"n": 2}, {"n": 0}]),
+    (WeaverDist,
+     {"params": WeaverParams(n=1, p=Fraction(1, 2)), "pmf": (Fraction(1, 2), Fraction(1, 2))},
+     "WeaverDist(params=WeaverParams(n=1, p=Fraction(1, 2)), "
+     "pmf=(Fraction(1, 2), Fraction(1, 2)))", []),
+    (DyadicPoint, {"k": 3, "n": 3}, "DyadicPoint(k=3, n=3)", [{"k": 9}, {"k": -1}, {"n": 1}]),
+    (DecompositionRow,
+     {"n": 2, "denom": 9, "weaving": 5, "merging": 4,
+      "weaving_share": Fraction(5, 9), "merging_share": Fraction(4, 9)},
+     "DecompositionRow(n=2, denom=9, weaving=5, merging=4, weaving_share=Fraction(5, 9), "
+     "merging_share=Fraction(4, 9))", []),
+    (ParentDistribution, {"family": "gaussian", "params": (0.0, 1.0), "scale": 1.0, "shift": 0.0},
+     "ParentDistribution(family='gaussian', params=(0.0, 1.0), scale=1.0, shift=0.0)",
+     [{"scale": float("inf")}, {"shift": float("nan")}, {"params": (0.0, -1.0)},
+      {"params": (0.0,)}, {"family": "cauchy"}]),
+    (SampleRun,
+     {"n": 1, "path": SelectionPath(n=1, k=1), "block_sums": (1.0,), "total": 1.0, "mean": 1.0,
+      "conditional_mean": Fraction(1)},
+     "SampleRun(n=1, path=SelectionPath(n=1, k=1), block_sums=(1.0,), total=1.0, mean=1.0, "
+     "conditional_mean=Fraction(1, 1))", []),
+    (MomentReport,
+     {"replications": 100, "empirical_mean": 0.5, "empirical_variance": 0.25,
+      "exact_mean": Fraction(1, 2), "exact_variance": 0.25, "standard_error": 0.05,
+      "z_score": 0.0},
+     "MomentReport(replications=100, empirical_mean=0.5, empirical_variance=0.25, "
+     "exact_mean=Fraction(1, 2), exact_variance=0.25, standard_error=0.05, z_score=0.0)", []),
+]
+
+
+@pytest.mark.parametrize(
+    "record, fields, text, refused", _RECORDS, ids=[entry[0].__name__ for entry in _RECORDS]
+)
+class TestRecords:
+    """Every record is built by keyword or by position, is immutable, hashes
+    and compares by its fields, prints as it did as a frozen dataclass, and
+    is a tuple of its fields."""
+
+    def test_keyword_and_positional(self, record, fields, text, refused):
+        built = record(**fields)
+        assert built == record(*fields.values())
+        assert built._fields == tuple(fields)
+        assert built == tuple(fields.values())
+        assert built._asdict() == fields
+
+    def test_immutable(self, record, fields, text, refused):
+        built = record(**fields)
+        for name in (*fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(built, name, 0)
+        assert built._asdict() == fields
+
+    def test_equal_fields_hash_equal(self, record, fields, text, refused):
+        assert hash(record(**fields)) == hash(record(*fields.values()))
+
+    def test_repr(self, record, fields, text, refused):
+        assert repr(record(**fields)) == text
+
+    def test_replace_checks_its_values(self, record, fields, text, refused):
+        built = record(**fields)
+        assert built._replace() == built
+        for change in refused:
+            with pytest.raises(RangeError) as replaced:
+                built._replace(**change)
+            with pytest.raises(RangeError) as constructed:
+                record(**{**fields, **change})
+            assert str(replaced.value) == str(constructed.value)
 
 
 class TestNoAnalysis:

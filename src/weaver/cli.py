@@ -247,8 +247,8 @@ def _write(table: _Table, layout: tuple[str, str, str, str], handle: TextIO, mid
     process's exit handlers, and the text of an error it meets reaches
     this process through a pipe, for the one-line message.  It is reaped
     whatever this process meets, and killed first if this process fails.
-    Only `sample`, a list table, starts threads, so no other thread holds
-    a lock at the fork.
+    No command starts a thread, and only `sample`, a list table, loads
+    numpy, so no other thread holds a lock at the fork.
     """
     head, template, separator, tail = layout
     count = len(table)

@@ -6,7 +6,7 @@ observations, for 2**n - 1 observations in total.  The conditional mean
 given the selections is an exact rational and follows W(n, p); the
 unconditional sample mean adds the within-population noise on top.
 
-Reproducibility contract (stream version 2): an ensemble takes one root
+Reproducibility contract (stream version 3): an ensemble takes one root
 seed and splits its replications into chunks of ``CHUNK``.  Chunk c
 draws from three streams, ``SeedSequence(entropy=seed, spawn_key=(c,
 purpose))``: purpose 0 holds the 128-bit path words, 1 and 2 the block
@@ -26,25 +26,28 @@ float or a numpy integer raises RangeError, as it does for a depth.
 This is the one module that imports numpy.  A parent population of
 :mod:`weaver.parents` is only a spec; every draw from it is a block sum
 here, from its family's one sampler (a single draw is a block of one).
+Each sampler draws a block's sum directly, not its observations, so no
+block costs more than 53 draws whatever its size: a uniform block is 53
+binomial counts, one per bit of a ``Generator.random()`` double, with
+the law of the sum of the block's raw draws.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import isfinite, sqrt
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from weaver import _host, analysis
+from weaver import analysis
 from weaver.errors import CapacityError, ContractError, RangeError
 from weaver.exact import SelectionPath, WeaverParams, _check_integer, _check_probability, cdf_grid
 from weaver.parents import ParentDistribution, is_standardized
 
 #: Layout of the ensemble streams described above; realized samples
 #: change whenever it does.
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 
 #: Replications per chunk of an ensemble.  A chunk's arrays are a few
 #: hundred KiB at the raw draw cap, so memory stays flat in the count.
@@ -61,9 +64,10 @@ RAW_DRAW_CAP = 30
 #: Selection paths alone need only n Bernoullis.
 PATH_ONLY_CAP = 63
 
-#: Uniform block sums read raw draws in slabs of at most this many
-#: doubles (1 MiB), so a deep block never holds all its draws at once.
-UNIFORM_SLAB = 1 << 17
+# uniform block sums draw their bit counts for this many cells per call,
+# so a (cells, 53) array of counts stays small; no value depends on it
+_UNIFORM_BATCH = 256
+_SHIFTS = np.arange(30, dtype=np.int64)
 
 # stream purposes within a chunk
 _PATH_WORDS, _H0_SUMS, _H1_SUMS = 0, 1, 2
@@ -157,92 +161,39 @@ def _check_run(n: int, h0: ParentDistribution, h1: ParentDistribution) -> None:
         )
 
 
-def _span_count(slabs: int) -> int:
-    # spans drawn at once: at most two, one per CPU available, one per slab
-    return min(2, _host.cpu_count(), slabs)
-
-
-def _slab_pieces(
-    rng: np.random.Generator, starts: np.ndarray, lo: int, hi: int
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Raw draws ``[lo, hi)`` of the stream, one slab at a time, from ``rng``
-    at draw ``lo``: for each slab, the cells ``first:stop`` it touches and
-    the sums of their pieces in it."""
-    slab = np.empty(min(UNIFORM_SLAB, hi - lo))
-    for at in range(lo, hi, UNIFORM_SLAB):
-        values = rng.random(out=slab[: min(UNIFORM_SLAB, hi - at)])
-        first = int(np.searchsorted(starts, at, side="right")) - 1
-        stop = int(np.searchsorted(starts, at + len(values), side="left"))
-        offsets = starts[first:stop] - at
-        offsets[0] = 0  # the cell open at `at` continues into this slab
-        yield first, stop, np.add.reduceat(values, offsets)
-
-
 def _uniform_totals(rng: np.random.Generator, sizes: np.ndarray) -> np.ndarray:
-    """Sums of ``sizes[i]`` consecutive raw uniforms on [0, 1), cell after cell.
+    """For each cell, a sum with the law of ``sizes[i]`` iid ``rng.random()``
+    draws, cell after cell.
 
-    The draws come in slabs of at most ``UNIFORM_SLAB``; a cell that
-    straddles a slab boundary adds up its pieces, slab after slab.  Slab
-    boundaries depend only on a cell's offset in the stream, so a prefix
-    of the cells sums to the same values whatever follows it.
-
-    A stream of several slabs is cut at slab boundaries into up to two
-    contiguous spans (one per CPU available), drawn at once: this thread
-    draws the first span from ``rng``, and a worker thread each later
-    span from a copy of ``rng``'s bit generator advanced to the span's
-    first draw.  One double is one 64-bit output, so every span reads
-    the doubles a single pass would, and the pieces are added in slab
-    order: the totals do not depend on the number of spans.  ``rng`` is
-    left where a single pass leaves it, ``sum(sizes)`` draws on.
+    A draw is ``(next_uint64 >> 11) * 2**-53``: 53 fair bits.  So a sum of
+    m draws has the law of ``sum_b C_b * 2**(b - 53)``, with 53 independent
+    ``C_b ~ Binomial(m, 1/2)``, and a block costs 53 binomials whatever m
+    is.  The counts are read in (cell, bit) order, ``_UNIFORM_BATCH``
+    cells per call, so a prefix of the cells sums to the same values
+    whatever follows it, and the batch size changes no value.  The
+    integer sum is split into two exact doubles, so each total is the
+    exact sum rounded once (the split is exact for m <= 2**29, the
+    largest block under the raw draw cap).
     """
-    totals = np.zeros(len(sizes))
-    end = int(sizes.sum())
-    if not end:
-        return totals
-    starts = np.cumsum(sizes) - sizes
-    slabs = -(-end // UNIFORM_SLAB)
-    spans = _span_count(slabs)
-    bounds = [i * slabs // spans * UNIFORM_SLAB for i in range(spans)] + [end]
-    pieces = [None] * spans
-
-    def draw(span: int, generator: np.random.Generator) -> None:
-        try:
-            pieces[span] = list(_slab_pieces(generator, starts, bounds[span], bounds[span + 1]))
-        except Exception as error:  # re-raised in the calling thread
-            pieces[span] = error
-
-    workers = []
-    for span in range(1, spans):
-        bit_generator = type(rng.bit_generator)()
-        bit_generator.state = rng.bit_generator.state
-        generator = np.random.Generator(bit_generator.advance(bounds[span]))
-        workers.append(threading.Thread(target=draw, args=(span, generator)))
-    for worker in workers:
-        worker.start()
-    try:
-        for first, stop, piece in _slab_pieces(rng, starts, 0, bounds[1]):
-            totals[first:stop] += piece
-    finally:
-        for worker in workers:
-            worker.join()
-    for span_pieces in pieces[1:]:
-        if isinstance(span_pieces, Exception):
-            raise span_pieces
-        for first, stop, piece in span_pieces:
-            totals[first:stop] += piece
-    if spans > 1:  # advance() also drops a buffered 32-bit half, which no double reads
-        rng.bit_generator.advance(end - bounds[1])
+    totals = np.empty(len(sizes))
+    for at in range(0, len(sizes), _UNIFORM_BATCH):
+        cells = sizes[at : at + _UNIFORM_BATCH]
+        counts = rng.binomial(cells[:, None], 0.5, size=(len(cells), 53))
+        low = (counts[:, :30] << _SHIFTS).sum(axis=1)  # bits 0..29, < 2**59
+        high = (counts[:, 30:] << _SHIFTS[:23]).sum(axis=1)  # bits 30..52, < 2**52
+        # sum = whole * 2**-23 + part * 2**-53, with whole < 2**53 and part < 2**30
+        whole, part = high + (low >> 30), low & ((1 << 30) - 1)
+        totals[at : at + len(cells)] = whole * 2.0**-23 + part * 2.0**-53
     return totals
 
 
 # the one sampler of each base family of weaver.parents: called as
 # (rng, sizes, *params), it returns for each entry m of sizes the sum of
 # m observations drawn from its sufficient statistic (m*c, a binomial
-# count, a Gaussian with mean m*mu and spread sqrt(m)*sigma), so a block
-# costs one draw at most.  Uniform blocks add up raw draws, on up to two
-# threads with the same sums as on one (_uniform_totals).  Cells consume
-# the stream in order, so the sums of a prefix of sizes do not depend on
-# what follows it.
+# count, a Gaussian with mean m*mu and spread sqrt(m)*sigma, 53 binomial
+# bit counts for a uniform), so a block costs at most 53 draws whatever
+# its size.  Cells consume the stream in order, so the sums of a prefix of
+# sizes do not depend on what follows it.
 _BLOCK_SUMS: dict[str, Callable[..., np.ndarray]] = {
     "point-mass": lambda rng, sizes, c: sizes * c,
     "bernoulli": lambda rng, sizes, q: rng.binomial(sizes, q).astype(np.float64),

@@ -278,7 +278,7 @@ class TestPublicSurface:
         },
         "sampler": {
             "BERNOULLI_BITS", "CHUNK", "PATH_ONLY_CAP", "RAW_DRAW_CAP", "STREAM_VERSION",
-            "UNIFORM_SLAB", "MomentReport", "SampleRun", "convergence_ks",
+            "MomentReport", "SampleRun", "convergence_ks",
             "draw_selection_path", "monte_carlo_moments", "path_ensemble",
             "run_exponential_sample", "run_from_path", "simulate_mean_ensemble",
         },
@@ -335,7 +335,7 @@ class TestReadme:
 
 class TestWorkflow:
     """The CI workflow parses, tests the package's Python floor, and runs
-    files that exist.  PyYAML is no test extra, so without it these skip."""
+    files that exist.  PyYAML is a test extra; where it is missing these skip."""
 
     @staticmethod
     def _job() -> dict:

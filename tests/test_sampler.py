@@ -4,8 +4,6 @@ import functools
 import hashlib
 import math
 import operator
-import sys
-import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -122,20 +120,22 @@ class TestParents:
     # SHA-256 of draw()'s 1000 float64s (little-endian) from default_rng(19),
     # captured at commit 06e9a4f, when each family's draw lived in weaver.parents;
     # bernoulli's since draw became the block sums of blocks of one observation,
-    # which draws Binomial(1, q): the same law, other realized values
+    # which draws Binomial(1, q); uniform's since stream version 3, which draws
+    # an observation's 53 bits as Binomial(1, 1/2) counts: the same laws, other
+    # realized values
     DRAW_DIGESTS = {
         "point": (point_mass(2.5),
                   "996bc8d14ad0673408ac4e9c2ab00819e1033db574e56b6ff58a49f33ca02960"),
         "bernoulli": (bernoulli(0.3),
                       "457ea1ca6377713e0fed9b18fa16644202aa81fbba403a85fe0244491aff6a0b"),
         "uniform": (uniform_interval(-1.0, 3.0),
-                    "55f36c5b5cd3430430a5b14110273c9fa9708718b7f8ff03e512d0f1b47b4c4e"),
+                    "e3fb75a607b5bb0def4dd9de1575240536c945bbb3efcc092aa7cbc0edbc90e3"),
         "gauss": (gaussian(5.0, 4.0),
                   "c0786b32138f3527a17968d0eeef5a2c30e913f1461a299a39ec0a07212f216f"),
         "gauss-std": (PAIRS["mixed"][0],
                       "5ad22d6451dea4810fe272354f8625d3989f34dc3c26d11acac9fb7bdffd7f08"),
         "uniform-std": (PAIRS["mixed"][1],
-                        "5d6f2580309a48c1571a10ed2ddf041fe1522335a19e3505a16a2b3e34cebd1a"),
+                        "1fc135ad9cf3091e4065c77dd055d2a6993940ccbda688d46df0c5c6af447bd1"),
     }
 
     @pytest.mark.parametrize("name", list(DRAW_DIGESTS))
@@ -145,14 +145,14 @@ class TestParents:
         assert values.dtype == np.float64
         assert hashlib.sha256(values.astype("<f8").tobytes()).hexdigest() == digest
 
-    @pytest.mark.parametrize("size", [1000, 3 * sampler.UNIFORM_SLAB + 5])
+    @pytest.mark.parametrize("size", [1000, 393221])
     @pytest.mark.parametrize(
         "parent",
-        [point_mass(2.5), uniform_interval(-1.0, 3.0), gaussian(5.0, 4.0), *PAIRS["mixed"]],
-        ids=["point", "uniform", "gauss", "gauss-std", "uniform-std"],
+        [point_mass(2.5), gaussian(5.0, 4.0), PAIRS["mixed"][0]],
+        ids=["point", "gauss", "gauss-std"],
     )
     def test_draw_is_numpy_direct_draw(self, parent, size):
-        # past one slab, uniform draws come in up to two spans, one per CPU
+        # a uniform draw is 53 bit counts instead (TestUniformBitCounts)
         values = parent.draw(np.random.default_rng(19), size)
         expected = numpy_draw(parent, np.random.default_rng(19), size)
         assert values.tobytes() == expected.tobytes()
@@ -438,23 +438,24 @@ class TestChunkedStreams:
         paths = sampler.path_ensemble(5, "2/3", long, seed=4)
         assert np.array_equal(sampler.path_ensemble(5, "2/3", short, seed=4), paths[:short])
 
-    def test_prefix_stability_across_uniform_slabs(self, monkeypatch):
-        # cells that straddle a slab boundary sum their pieces the same way
-        monkeypatch.setattr(sampler, "UNIFORM_SLAB", 10)
+    def test_prefix_stability_across_uniform_batches(self, monkeypatch):
+        # cells on either side of a batch boundary read the stream the same way
+        monkeypatch.setattr(sampler, "_UNIFORM_BATCH", 10)
         h0, h1 = PAIRS["uniform"]
         a = sampler.simulate_mean_ensemble(6, h0, h1, "1/3", 40, seed=9)
         b = sampler.simulate_mean_ensemble(6, h0, h1, "1/3", 57, seed=9)
         assert np.array_equal(a, b[:40])
 
-    @pytest.mark.parametrize("slab", [1, 7, 64, 1 << 17])
-    def test_uniform_totals_against_one_draw(self, monkeypatch, slab):
-        # slab by slab equals one reduceat over the whole stream
-        monkeypatch.setattr(sampler, "UNIFORM_SLAB", slab)
-        sizes = np.array([1, 2, 4, 8, 16, 3, 1, 32, 5], dtype=np.int64)
-        totals = sampler._uniform_totals(np.random.default_rng(3), sizes)
-        values = np.random.default_rng(3).random(int(sizes.sum()))
-        expected = np.add.reduceat(values, np.cumsum(sizes) - sizes)
-        assert totals == pytest.approx(expected, rel=1e-14)
+    @pytest.mark.parametrize("batch", [1, 7, 64, 1 << 17])
+    def test_uniform_totals_against_one_draw(self, monkeypatch, batch):
+        # batch by batch equals one binomial call over every cell, value for
+        # value, and leaves the generator where that call does
+        sizes = np.array([1, 2, 4, 8, 16, 3, 1, 32, 5] * 11, dtype=np.int64)
+        whole, batched = np.random.default_rng(3), np.random.default_rng(3)
+        expected = sampler._uniform_totals(whole, sizes)
+        monkeypatch.setattr(sampler, "_UNIFORM_BATCH", batch)
+        assert np.array_equal(sampler._uniform_totals(batched, sizes), expected)
+        assert batched.bit_generator.state == whole.bit_generator.state
         assert len(sampler._uniform_totals(np.random.default_rng(3), sizes[:0])) == 0
 
     def test_point_mass_means_sit_on_the_lattice(self):
@@ -513,101 +514,82 @@ class TestChunkedStreams:
         draw(0)
 
 
-def _one_pass_totals(rng, sizes, slab):
-    # the slab-by-slab loop on one thread, the order the stream is read in
-    starts = np.cumsum(sizes) - sizes
-    end = int(sizes.sum())
-    totals = np.zeros(len(sizes))
-    for lo in range(0, end, slab):
-        values = rng.random(min(slab, end - lo))
-        first = int(np.searchsorted(starts, lo, side="right")) - 1
-        stop = int(np.searchsorted(starts, lo + len(values), side="left"))
-        offsets = starts[first:stop] - lo
-        offsets[0] = 0
-        totals[first:stop] += np.add.reduceat(values, offsets)
-    return totals
+def _uniform_moments(m):
+    """Exact mean, variance, and 4th and 8th central moments of the
+    Irwin-Hall sum of m uniforms on [0, 1), from the cumulants of U(0, 1),
+    ``B_r / r``: 1/12, -1/120, 1/252 and -1/240 at orders 2, 4, 6 and 8."""
+    k2, k4, k6, k8 = (m * Fraction(1, r) for r in (12, -120, 252, -240))
+    mu4 = k4 + 3 * k2**2
+    mu8 = k8 + 28 * k6 * k2 + 35 * k4**2 + 210 * k4 * k2**2 + 105 * k2**4
+    return Fraction(m, 2), k2, mu4, mu8
 
 
-class TestUniformSpans:
-    """``_uniform_totals`` draws a stream of several slabs in contiguous
-    spans at once; the totals must equal the one-pass loop's exactly."""
+class TestUniformBitCounts:
+    """A uniform block sum is 53 binomial bit counts, one per bit of the
+    doubles ``Generator.random()`` returns: the law of the summed draws."""
 
-    # 282 draws; at each slab and span count below, some span boundary
-    # falls inside a cell, so that cell's pieces come from two spans
-    SIZES = np.array([1, 2, 4, 8, 16, 3, 1, 32, 5, 64, 9, 128, 2, 7], dtype=np.int64)
+    def test_against_a_scalar_oracle(self, monkeypatch):
+        # cell by cell, 53 counts in bit order, summed exactly as Fractions;
+        # each total is that sum rounded once, across batch boundaries too
+        monkeypatch.setattr(sampler, "_UNIFORM_BATCH", 4)
+        sizes = np.tile(np.array([1, 2, 3, 16, 1 << 16, 1 << 29, 7, 1, 1 << 20, 5, 2]), 20)
+        totals = sampler._uniform_totals(np.random.default_rng(17), sizes)
+        rng = np.random.default_rng(17)
+        for m, total in zip(sizes.tolist(), totals.tolist()):
+            counts = rng.binomial(m, 0.5, 53)
+            exact = sum(Fraction(int(count) << bit, 1 << 53) for bit, count in enumerate(counts))
+            assert total == float(exact)
 
-    @pytest.fixture
-    def spans_drawn(self, monkeypatch):
-        # records the first draw of every span that _uniform_totals draws
-        firsts = []
-        slab_pieces = sampler._slab_pieces
+    @pytest.mark.parametrize("m", [1, 3, 1 << 16, (1 << 29) - 1, 1 << 29])
+    def test_largest_counts_round_once(self, m):
+        # every count at its largest, m, up to the largest block under the
+        # raw draw cap: the sum m * (1 - 2**-53), rounded once, no overflow
+        class Full:
+            def binomial(self, n, p, size):
+                return np.broadcast_to(n, size).copy()
 
-        def recorded(rng, starts, lo, hi):
-            firsts.append(lo)
-            return slab_pieces(rng, starts, lo, hi)
+        totals = sampler._uniform_totals(Full(), np.full(3, m, dtype=np.int64))
+        assert totals.tolist() == [float(Fraction(m * ((1 << 53) - 1), 1 << 53))] * 3
 
-        monkeypatch.setattr(sampler, "_slab_pieces", recorded)
-        return firsts
+    @pytest.mark.parametrize("batch, cells", [(7, 40), (7, 7), (256, 600), (256, 3)])
+    def test_one_call_covers_at_most_a_batch(self, monkeypatch, batch, cells):
+        monkeypatch.setattr(sampler, "_UNIFORM_BATCH", batch)
+        rng, calls = np.random.default_rng(2), []
 
-    @pytest.mark.parametrize("slab", [1, 7, 64])
-    @pytest.mark.parametrize("spans", [1, 2, 3])
-    def test_spans_match_one_pass(self, monkeypatch, spans_drawn, slab, spans):
-        monkeypatch.setattr(sampler, "UNIFORM_SLAB", slab)
-        monkeypatch.setattr(sampler, "_span_count", lambda slabs: min(spans, slabs))
-        split, single = np.random.default_rng(11), np.random.default_rng(11)
-        threads = threading.active_count()
-        totals = sampler._uniform_totals(split, self.SIZES)
-        assert np.array_equal(totals, _one_pass_totals(single, self.SIZES, slab))
-        assert split.bit_generator.state == single.bit_generator.state
-        assert threading.active_count() == threads
-        assert len(spans_drawn) == spans
-        starts = set((np.cumsum(self.SIZES) - self.SIZES).tolist())
-        assert spans == 1 or not starts.issuperset(spans_drawn)
+        class Recording:
+            def binomial(self, n, p, size):
+                calls.append((n.shape, p, size))
+                return rng.binomial(n, p, size)
 
-    def test_more_spans_than_cores_under_fast_switching(self, monkeypatch):
-        # eight spans on short slabs, with the interpreter switching threads
-        # every microsecond: no span's pieces may be lost or misplaced
-        monkeypatch.setattr(sampler, "UNIFORM_SLAB", 3)
-        monkeypatch.setattr(sampler, "_span_count", lambda slabs: min(8, slabs))
-        sizes = np.tile(self.SIZES, 20)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for seed in range(5):
-                split, single = np.random.default_rng(seed), np.random.default_rng(seed)
-                totals = sampler._uniform_totals(split, sizes)
-                assert np.array_equal(totals, _one_pass_totals(single, sizes, 3))
-                assert split.bit_generator.state == single.bit_generator.state
-        finally:
-            sys.setswitchinterval(interval)
+        sampler._uniform_totals(Recording(), np.arange(1, cells + 1, dtype=np.int64))
+        assert all(size[0] <= batch and size == (shape[0], 53) and shape[1] == 1 and p == 0.5
+                   for shape, p, size in calls)
+        assert sum(size[0] for _, _, size in calls) == cells
+        assert len(calls) == -(-cells // batch)
 
-    @pytest.mark.parametrize("failing", [0, 1, 2], ids=["caller", "worker", "last-worker"])
-    def test_span_error_reaches_the_caller(self, monkeypatch, failing):
-        monkeypatch.setattr(sampler, "UNIFORM_SLAB", 7)
-        monkeypatch.setattr(sampler, "_span_count", lambda slabs: min(3, slabs))
-        slab_pieces = sampler._slab_pieces
-        firsts = [0, 13 * 7, 27 * 7]  # 41 slabs in 3 spans
+    CELLS = 100_000
 
-        def pieces(rng, starts, lo, hi):
-            if lo == firsts[failing]:
-                raise ValueError(f"span at {lo}")
-            return slab_pieces(rng, starts, lo, hi)
+    @pytest.mark.parametrize("m", [1, 2, 16, 1 << 16, 1 << 29])
+    def test_irwin_hall_moments(self, m):
+        # z-scores of the mean, the variance and the 4th standardized
+        # moment, each against its exact standard error
+        mean, var, mu4, mu8 = _uniform_moments(m)
+        sums = sampler._uniform_totals(
+            np.random.default_rng(26), np.full(self.CELLS, m, dtype=np.int64)
+        )
+        centered = sums - float(mean)
+        z_mean = np.mean(centered) / math.sqrt(var / self.CELLS)
+        z_var = (np.var(sums, ddof=1) - var) / math.sqrt((mu4 - var**2) / self.CELLS)
+        kurtosis = mu4 / var**2
+        assert kurtosis == 3 - Fraction(6, 5 * m)
+        standardized = np.mean((centered / math.sqrt(var)) ** 4)
+        z_kurtosis = (standardized - kurtosis) / math.sqrt((mu8 / var**4 - kurtosis**2) / self.CELLS)
+        assert max(abs(z_mean), abs(z_var), abs(z_kurtosis)) < 4
 
-        monkeypatch.setattr(sampler, "_slab_pieces", pieces)
-        threads = threading.active_count()
-        with pytest.raises(ValueError, match=f"span at {firsts[failing]}"):
-            sampler._uniform_totals(np.random.default_rng(11), self.SIZES)
-        assert threading.active_count() == threads
-
-    def test_span_count(self):
-        assert sampler._span_count(1) == 1
-        assert 1 <= sampler._span_count(1 << 20) <= 2
-
-    def test_one_slab_draws_on_the_calling_thread(self, spans_drawn):
-        threads = threading.active_count()
-        sampler._uniform_totals(np.random.default_rng(11), self.SIZES)
-        assert spans_drawn == [0]
-        assert threading.active_count() == threads
+    def test_one_draw_is_uniform(self):
+        draws = sampler._uniform_totals(np.random.default_rng(26), np.ones(self.CELLS, dtype=np.int64))
+        assert draws.min() >= 0 and draws.max() < 1
+        assert scipy.stats.kstest(draws, "uniform").pvalue > 0.001
 
 
 class TestSelectionCompare:

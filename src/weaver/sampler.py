@@ -27,9 +27,12 @@ This is the one module that imports numpy.  A parent population of
 :mod:`weaver.parents` is only a spec; every draw from it is a block sum
 here, from its family's one sampler (a single draw is a block of one).
 Each sampler draws a block's sum directly, not its observations, so no
-block costs more than 53 draws whatever its size: a uniform block is 53
-binomial counts, one per bit of a ``Generator.random()`` double, with
-the law of the sum of the block's raw draws.
+block costs more than 1023 draws whatever its size.  A uniform block of
+fewer than 2**10 observations adds up its raw draws, where they are
+cheaper; a larger one is 53 binomial counts, one per bit of a
+``Generator.random()`` double, with the law of the sum of its raw draws.
+Those counts come from a generator seeded by a 128-bit word that the
+parent's block-sum stream holds where the first such block falls.
 """
 
 from __future__ import annotations
@@ -64,9 +67,14 @@ RAW_DRAW_CAP = 30
 #: Selection paths alone need only n Bernoullis.
 PATH_ONLY_CAP = 63
 
-# uniform block sums draw their bit counts for this many cells per call,
-# so a (cells, 53) array of counts stays small; no value depends on it
+# uniform blocks of at least this many draws cost 53 binomial bit counts;
+# smaller ones, where a raw draw is cheaper, add up their raw draws
+_BIT_COUNT_MIN = 1 << 10
+# uniform block sums draw the bit counts of this many cells per call, and
+# raw draws in calls of about this many doubles, so memory stays flat;
+# no value depends on either
 _UNIFORM_BATCH = 256
+_RAW_BATCH = 1 << 14
 _SHIFTS = np.arange(30, dtype=np.int64)
 
 # stream purposes within a chunk
@@ -161,19 +169,30 @@ def _check_run(n: int, h0: ParentDistribution, h1: ParentDistribution) -> None:
         )
 
 
-def _uniform_totals(rng: np.random.Generator, sizes: np.ndarray) -> np.ndarray:
+def _raw_sums(rng: np.random.Generator, sizes: np.ndarray) -> np.ndarray:
+    # sums of sizes[i] consecutive rng.random() draws, cell after cell; a
+    # new call starts at the first cell to start at or past each multiple
+    # of _RAW_BATCH draws
+    starts = np.cumsum(sizes) - sizes
+    cuts = np.searchsorted(starts, range(0, int(sizes.sum()), _RAW_BATCH)).tolist()
+    totals = np.empty(len(sizes))
+    for lo, hi in zip(cuts, [*cuts[1:], len(sizes)]):
+        if lo < hi:
+            draws = rng.random(int(sizes[lo:hi].sum()))
+            totals[lo:hi] = np.add.reduceat(draws, starts[lo:hi] - starts[lo])
+    return totals
+
+
+def _bit_count_sums(rng: np.random.Generator, sizes: np.ndarray) -> np.ndarray:
     """For each cell, a sum with the law of ``sizes[i]`` iid ``rng.random()``
-    draws, cell after cell.
+    draws, cell after cell, from 53 binomial draws whatever its size.
 
     A draw is ``(next_uint64 >> 11) * 2**-53``: 53 fair bits.  So a sum of
     m draws has the law of ``sum_b C_b * 2**(b - 53)``, with 53 independent
-    ``C_b ~ Binomial(m, 1/2)``, and a block costs 53 binomials whatever m
-    is.  The counts are read in (cell, bit) order, ``_UNIFORM_BATCH``
-    cells per call, so a prefix of the cells sums to the same values
-    whatever follows it, and the batch size changes no value.  The
-    integer sum is split into two exact doubles, so each total is the
-    exact sum rounded once (the split is exact for m <= 2**29, the
-    largest block under the raw draw cap).
+    ``C_b ~ Binomial(m, 1/2)``.  The counts are read in (cell, bit) order,
+    ``_UNIFORM_BATCH`` cells per call.  The integer sum is split into two
+    exact doubles, so each total is the exact sum rounded once (the split
+    is exact for m <= 2**29, the largest block under the raw draw cap).
     """
     totals = np.empty(len(sizes))
     for at in range(0, len(sizes), _UNIFORM_BATCH):
@@ -187,13 +206,36 @@ def _uniform_totals(rng: np.random.Generator, sizes: np.ndarray) -> np.ndarray:
     return totals
 
 
+def _uniform_totals(rng: np.random.Generator, sizes: np.ndarray) -> np.ndarray:
+    """Sums of ``sizes[i]`` uniforms on [0, 1), cell after cell, each with
+    the law of that many ``rng.random()`` draws.
+
+    A block of fewer than ``_BIT_COUNT_MIN`` draws adds up its raw draws
+    from ``rng``; a larger one is 53 bit counts (``_bit_count_sums``) from
+    a generator seeded by a 128-bit word of ``rng``, read where the first
+    such block falls.  Both streams are read in cell order, so a prefix of
+    the cells sums to the same values whatever follows it.
+    """
+    counted = sizes >= _BIT_COUNT_MIN
+    first = int(np.argmax(counted)) if counted.any() else len(sizes)
+    totals = np.empty(len(sizes))
+    totals[:first] = _raw_sums(rng, sizes[:first])
+    if first < len(sizes):
+        counts_rng = np.random.default_rng(_draw_words(rng, ()))
+        totals[counted] = _bit_count_sums(counts_rng, sizes[counted])
+        rest = first + np.flatnonzero(~counted[first:])
+        totals[rest] = _raw_sums(rng, sizes[rest])
+    return totals
+
+
 # the one sampler of each base family of weaver.parents: called as
 # (rng, sizes, *params), it returns for each entry m of sizes the sum of
 # m observations drawn from its sufficient statistic (m*c, a binomial
-# count, a Gaussian with mean m*mu and spread sqrt(m)*sigma, 53 binomial
-# bit counts for a uniform), so a block costs at most 53 draws whatever
-# its size.  Cells consume the stream in order, so the sums of a prefix of
-# sizes do not depend on what follows it.
+# count, a Gaussian with mean m*mu and spread sqrt(m)*sigma; a uniform
+# adds up raw draws, or draws 53 binomial bit counts for a block of 2**10
+# or more), so no block costs more than 1023 draws whatever its size.
+# Cells consume the stream in order, so the sums of a prefix of sizes do
+# not depend on what follows it.
 _BLOCK_SUMS: dict[str, Callable[..., np.ndarray]] = {
     "point-mass": lambda rng, sizes, c: sizes * c,
     "bernoulli": lambda rng, sizes, q: rng.binomial(sizes, q).astype(np.float64),

@@ -1227,10 +1227,11 @@ class TestSecondDepthDigests:
 
 class TestSampleDigests:
     """SHA-256 of the ``sample`` CSV for the point, gauss, bernoulli and
-    uniform parent pairs.  The first three were captured at commit 026689d.
-    The uniform one was captured at stream version 3, which draws each
-    uniform block sum as 53 binomial bit counts, a bounded batch of cells
-    per call; the batch size changes no byte."""
+    uniform parent pairs.  The first four were captured at commit 026689d;
+    the depth-10 uniform run has no block of 2**10 observations, so it
+    still adds up raw draws.  The depth-12 one, captured at stream version
+    3, also draws its blocks of 2**10 and 2**11 as 53 binomial bit counts;
+    neither batch size changes a byte."""
 
     DIGESTS = {
         "sample --n 6 --p 2/3 --parents point:0;point:1 --reps 2000 --seed 7":
@@ -1240,10 +1241,14 @@ class TestSampleDigests:
         "sample --n 8 --p 2/3 --parents bernoulli:0.2;bernoulli:0.7 --reps 1500 --seed 7":
             "f1cf9783de317c3e04d3163d08fa9efdb23c004ac8fd0c6a5e0f63b0ee3825d4",
         "sample --n 10 --p 2/3 --parents uniform:0,1;uniform:1,2 --reps 1100 --seed 7":
-            "c42f015037792ff4bd3ede2d608547c570975cecef0e075558a4f989451f62ad",
+            "a07c1116a2cbdfa3860c8563de808e6af0aedbd9c8e274cb66b1b4268a84b959",
+        "sample --n 12 --p 2/3 --parents uniform:0,1;uniform:1,2 --reps 1100 --seed 7":
+            "a2b675e1b377c5f08e278a05a11d95b5bf0cf5facebb6de6575cb7592a4c5e61",
     }
 
-    @pytest.mark.parametrize("command", list(DIGESTS), ids=["point", "gauss", "bernoulli", "uniform"])
+    @pytest.mark.parametrize(
+        "command", list(DIGESTS), ids=["point", "gauss", "bernoulli", "uniform", "uniform-deep"]
+    )
     def test_sample_matches_digest(self, capsys, command):
         code, out, _ = run_cli(capsys, *command.split())
         assert code == 0
@@ -1252,4 +1257,5 @@ class TestSampleDigests:
     @pytest.mark.parametrize("batch", [1, 5, 4099])
     def test_uniform_digest_for_any_batch(self, capsys, monkeypatch, batch):
         monkeypatch.setattr(sampler, "_UNIFORM_BATCH", batch)
-        self.test_sample_matches_digest(capsys, list(self.DIGESTS)[3])
+        monkeypatch.setattr(sampler, "_RAW_BATCH", batch)
+        self.test_sample_matches_digest(capsys, list(self.DIGESTS)[4])

@@ -120,22 +120,20 @@ class TestParents:
     # SHA-256 of draw()'s 1000 float64s (little-endian) from default_rng(19),
     # captured at commit 06e9a4f, when each family's draw lived in weaver.parents;
     # bernoulli's since draw became the block sums of blocks of one observation,
-    # which draws Binomial(1, q); uniform's since stream version 3, which draws
-    # an observation's 53 bits as Binomial(1, 1/2) counts: the same laws, other
-    # realized values
+    # which draws Binomial(1, q): the same law, other realized values
     DRAW_DIGESTS = {
         "point": (point_mass(2.5),
                   "996bc8d14ad0673408ac4e9c2ab00819e1033db574e56b6ff58a49f33ca02960"),
         "bernoulli": (bernoulli(0.3),
                       "457ea1ca6377713e0fed9b18fa16644202aa81fbba403a85fe0244491aff6a0b"),
         "uniform": (uniform_interval(-1.0, 3.0),
-                    "e3fb75a607b5bb0def4dd9de1575240536c945bbb3efcc092aa7cbc0edbc90e3"),
+                    "55f36c5b5cd3430430a5b14110273c9fa9708718b7f8ff03e512d0f1b47b4c4e"),
         "gauss": (gaussian(5.0, 4.0),
                   "c0786b32138f3527a17968d0eeef5a2c30e913f1461a299a39ec0a07212f216f"),
         "gauss-std": (PAIRS["mixed"][0],
                       "5ad22d6451dea4810fe272354f8625d3989f34dc3c26d11acac9fb7bdffd7f08"),
         "uniform-std": (PAIRS["mixed"][1],
-                        "1fc135ad9cf3091e4065c77dd055d2a6993940ccbda688d46df0c5c6af447bd1"),
+                        "5d6f2580309a48c1571a10ed2ddf041fe1522335a19e3505a16a2b3e34cebd1a"),
     }
 
     @pytest.mark.parametrize("name", list(DRAW_DIGESTS))
@@ -148,11 +146,11 @@ class TestParents:
     @pytest.mark.parametrize("size", [1000, 393221])
     @pytest.mark.parametrize(
         "parent",
-        [point_mass(2.5), gaussian(5.0, 4.0), PAIRS["mixed"][0]],
-        ids=["point", "gauss", "gauss-std"],
+        [point_mass(2.5), uniform_interval(-1.0, 3.0), gaussian(5.0, 4.0), *PAIRS["mixed"]],
+        ids=["point", "uniform", "gauss", "gauss-std", "uniform-std"],
     )
     def test_draw_is_numpy_direct_draw(self, parent, size):
-        # a uniform draw is 53 bit counts instead (TestUniformBitCounts)
+        # past one raw batch, uniform draws come in several calls
         values = parent.draw(np.random.default_rng(19), size)
         expected = numpy_draw(parent, np.random.default_rng(19), size)
         assert values.tobytes() == expected.tobytes()
@@ -439,21 +437,26 @@ class TestChunkedStreams:
         assert np.array_equal(sampler.path_ensemble(5, "2/3", short, seed=4), paths[:short])
 
     def test_prefix_stability_across_uniform_batches(self, monkeypatch):
-        # cells on either side of a batch boundary read the stream the same way
+        # cells on either side of a batch boundary, and of the first block
+        # drawn as bit counts, read the streams the same way
         monkeypatch.setattr(sampler, "_UNIFORM_BATCH", 10)
+        monkeypatch.setattr(sampler, "_RAW_BATCH", 100)
         h0, h1 = PAIRS["uniform"]
-        a = sampler.simulate_mean_ensemble(6, h0, h1, "1/3", 40, seed=9)
-        b = sampler.simulate_mean_ensemble(6, h0, h1, "1/3", 57, seed=9)
+        a = sampler.simulate_mean_ensemble(12, h0, h1, "1/3", 40, seed=9)
+        b = sampler.simulate_mean_ensemble(12, h0, h1, "1/3", 57, seed=9)
         assert np.array_equal(a, b[:40])
 
     @pytest.mark.parametrize("batch", [1, 7, 64, 1 << 17])
     def test_uniform_totals_against_one_draw(self, monkeypatch, batch):
-        # batch by batch equals one binomial call over every cell, value for
-        # value, and leaves the generator where that call does
-        sizes = np.array([1, 2, 4, 8, 16, 3, 1, 32, 5] * 11, dtype=np.int64)
+        # batch by batch equals one call over every cell, value for value,
+        # and leaves the generator where that call does
+        sizes = np.array([1, 2, 4, 8, 16, 3, 1, 32, 5, 1024, 7, 1 << 20] * 11, dtype=np.int64)
         whole, batched = np.random.default_rng(3), np.random.default_rng(3)
+        monkeypatch.setattr(sampler, "_UNIFORM_BATCH", 1 << 20)
+        monkeypatch.setattr(sampler, "_RAW_BATCH", 1 << 20)
         expected = sampler._uniform_totals(whole, sizes)
         monkeypatch.setattr(sampler, "_UNIFORM_BATCH", batch)
+        monkeypatch.setattr(sampler, "_RAW_BATCH", batch)
         assert np.array_equal(sampler._uniform_totals(batched, sizes), expected)
         assert batched.bit_generator.state == whole.bit_generator.state
         assert len(sampler._uniform_totals(np.random.default_rng(3), sizes[:0])) == 0
@@ -525,30 +528,55 @@ def _uniform_moments(m):
 
 
 class TestUniformBitCounts:
-    """A uniform block sum is 53 binomial bit counts, one per bit of the
-    doubles ``Generator.random()`` returns: the law of the summed draws."""
+    """A uniform block of ``_BIT_COUNT_MIN`` observations or more is 53
+    binomial bit counts, one per bit of the doubles ``Generator.random()``
+    returns: the law of its summed raw draws.  A smaller block adds up its
+    raw draws, which are cheaper there."""
 
     def test_against_a_scalar_oracle(self, monkeypatch):
-        # cell by cell, 53 counts in bit order, summed exactly as Fractions;
-        # each total is that sum rounded once, across batch boundaries too
+        # cell by cell: a small block sums its raw draws; the first large
+        # block reads a 128-bit seed word, and each large block draws 53
+        # counts in bit order from the generator it seeds, summed exactly
+        # as Fractions; each total is that sum rounded once.  Across batch
+        # boundaries too, and the stream ends where the oracle's does
         monkeypatch.setattr(sampler, "_UNIFORM_BATCH", 4)
-        sizes = np.tile(np.array([1, 2, 3, 16, 1 << 16, 1 << 29, 7, 1, 1 << 20, 5, 2]), 20)
-        totals = sampler._uniform_totals(np.random.default_rng(17), sizes)
+        monkeypatch.setattr(sampler, "_RAW_BATCH", 64)
+        sizes = np.tile(np.array([1, 2, 3, 16, 1 << 16, 1 << 29, 7, 1, 1 << 20, 5, 1023, 1024]), 20)
         rng = np.random.default_rng(17)
+        totals = sampler._uniform_totals(rng, sizes)
+        oracle, counted = np.random.default_rng(17), None
         for m, total in zip(sizes.tolist(), totals.tolist()):
-            counts = rng.binomial(m, 0.5, 53)
+            if m < sampler._BIT_COUNT_MIN:
+                assert total == pytest.approx(math.fsum(oracle.random(m).tolist()), rel=1e-13)
+                continue
+            if counted is None:
+                counted = np.random.default_rng(oracle.integers(0, 1 << 64, 2, dtype=np.uint64))
+            counts = counted.binomial(m, 0.5, 53)
             exact = sum(Fraction(int(count) << bit, 1 << 53) for bit, count in enumerate(counts))
             assert total == float(exact)
+        assert rng.bit_generator.state == oracle.bit_generator.state
 
-    @pytest.mark.parametrize("m", [1, 3, 1 << 16, (1 << 29) - 1, 1 << 29])
+    def test_small_blocks_read_no_seed_word(self):
+        # below the first large block the stream holds raw draws alone
+        sizes = np.array([3, 1, sampler._BIT_COUNT_MIN - 1] * 5, dtype=np.int64)
+        rng = np.random.default_rng(4)
+        totals = sampler._uniform_totals(rng, sizes)
+        draws = np.random.default_rng(4).random(int(sizes.sum()))
+        assert np.array_equal(totals, np.add.reduceat(draws, np.cumsum(sizes) - sizes))
+        assert rng.random() == np.random.default_rng(4).random(int(sizes.sum()) + 1)[-1]
+
+    @pytest.mark.parametrize(
+        "m", [1, 3, 1 << 16, (1 << (sampler.RAW_DRAW_CAP - 1)) - 1, 1 << (sampler.RAW_DRAW_CAP - 1)]
+    )
     def test_largest_counts_round_once(self, m):
         # every count at its largest, m, up to the largest block under the
-        # raw draw cap: the sum m * (1 - 2**-53), rounded once, no overflow
+        # raw draw cap: the sum m * (1 - 2**-53), rounded once, no overflow.
+        # A higher cap fails here until the two-part split widens
         class Full:
             def binomial(self, n, p, size):
                 return np.broadcast_to(n, size).copy()
 
-        totals = sampler._uniform_totals(Full(), np.full(3, m, dtype=np.int64))
+        totals = sampler._bit_count_sums(Full(), np.full(3, m, dtype=np.int64))
         assert totals.tolist() == [float(Fraction(m * ((1 << 53) - 1), 1 << 53))] * 3
 
     @pytest.mark.parametrize("batch, cells", [(7, 40), (7, 7), (256, 600), (256, 3)])
@@ -561,20 +589,39 @@ class TestUniformBitCounts:
                 calls.append((n.shape, p, size))
                 return rng.binomial(n, p, size)
 
-        sampler._uniform_totals(Recording(), np.arange(1, cells + 1, dtype=np.int64))
+        sampler._bit_count_sums(Recording(), np.arange(1, cells + 1, dtype=np.int64))
         assert all(size[0] <= batch and size == (shape[0], 53) and shape[1] == 1 and p == 0.5
                    for shape, p, size in calls)
         assert sum(size[0] for _, _, size in calls) == cells
         assert len(calls) == -(-cells // batch)
 
+    @pytest.mark.parametrize("batch", [1, 100, 1 << 14])
+    def test_raw_calls_stay_near_a_batch(self, monkeypatch, batch):
+        # a call starts no cell past its first batch of draws, so it reads
+        # fewer than batch + _BIT_COUNT_MIN doubles
+        monkeypatch.setattr(sampler, "_RAW_BATCH", batch)
+        rng, calls = np.random.default_rng(2), []
+
+        class Recording:
+            def random(self, size):
+                calls.append(size)
+                return rng.random(size)
+
+        sizes = np.resize(np.array([1, 1023, 5, 512, 2]), 3001).astype(np.int64)
+        sampler._raw_sums(Recording(), sizes)
+        assert sum(calls) == sizes.sum()
+        assert max(calls) < batch + sampler._BIT_COUNT_MIN
+
     CELLS = 100_000
 
     @pytest.mark.parametrize("m", [1, 2, 16, 1 << 16, 1 << 29])
-    def test_irwin_hall_moments(self, m):
+    @pytest.mark.parametrize("draw", ["_uniform_totals", "_bit_count_sums"])
+    def test_irwin_hall_moments(self, draw, m):
         # z-scores of the mean, the variance and the 4th standardized
-        # moment, each against its exact standard error
+        # moment, each against its exact standard error; bit counts at
+        # every size, and raw draws below _BIT_COUNT_MIN
         mean, var, mu4, mu8 = _uniform_moments(m)
-        sums = sampler._uniform_totals(
+        sums = getattr(sampler, draw)(
             np.random.default_rng(26), np.full(self.CELLS, m, dtype=np.int64)
         )
         centered = sums - float(mean)
@@ -586,8 +633,9 @@ class TestUniformBitCounts:
         z_kurtosis = (standardized - kurtosis) / math.sqrt((mu8 / var**4 - kurtosis**2) / self.CELLS)
         assert max(abs(z_mean), abs(z_var), abs(z_kurtosis)) < 4
 
-    def test_one_draw_is_uniform(self):
-        draws = sampler._uniform_totals(np.random.default_rng(26), np.ones(self.CELLS, dtype=np.int64))
+    @pytest.mark.parametrize("draw", ["_uniform_totals", "_bit_count_sums"])
+    def test_one_draw_is_uniform(self, draw):
+        draws = getattr(sampler, draw)(np.random.default_rng(26), np.ones(self.CELLS, dtype=np.int64))
         assert draws.min() >= 0 and draws.max() < 1
         assert scipy.stats.kstest(draws, "uniform").pvalue > 0.001
 

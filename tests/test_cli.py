@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from weaver import _host, analysis, cli, exact, sampler
+from weaver import _host, analysis, cli, exact, sampler, tables
 from weaver.errors import CapacityError, RangeError
 from weaver.exact import WeaverParams
 
@@ -70,6 +70,11 @@ def _render_json(rows: list[dict[str, Any]]) -> str:
 
 
 ORACLES = {"csv": _render_csv, "json": _render_json}
+
+
+def _built_rows(args):
+    # the row builder that cli.main finds by the command's name
+    return getattr(tables, f"_{args.command}_rows")(args)
 
 
 # The rows of each 2**n table from the library's independent functions:
@@ -137,7 +142,7 @@ class TestRendering:
         # the 2**n tables from their oracle rows; the small list tables are
         # dict rows already, so for them the renderers check the layout
         args = cli.parse_config(list(argv))
-        rows = ORACLE_ROWS.get(args.command, cli._COMMANDS[args.command][1])(args)
+        rows = ORACLE_ROWS.get(args.command, _built_rows)(args)
         return ORACLES[format](rows)
 
     @pytest.mark.parametrize("format", ["csv", "json"])
@@ -187,7 +192,7 @@ class TestRowView:
     )
     def test_sized_and_reiterable(self, argv, count):
         args = cli.parse_config(list(argv))
-        table = cli._COMMANDS[args.command][1](args)
+        table = _built_rows(args)
         oracle = ORACLE_ROWS[args.command](args)
         assert len(table) == len(oracle) == count
         assert list(table.columns) == [
@@ -249,7 +254,7 @@ def split(monkeypatch):
     made in this process."""
 
     def set_split(choose):
-        forks, fork, write = [], os.fork, cli._write
+        forks, fork, write = [], os.fork, tables._write
 
         def counted_fork():
             forks.append(fork())
@@ -261,17 +266,17 @@ def split(monkeypatch):
                 mid = choose(len(table))
             write(table, layout, handle, mid)
 
-        monkeypatch.setattr(cli, "_SPLIT_ROWS", 2)
+        monkeypatch.setattr(tables, "_SPLIT_ROWS", 2)
         monkeypatch.setattr(_host, "cpu_count", lambda: 2)
         monkeypatch.setattr(os, "fork", counted_fork)
-        monkeypatch.setattr(cli, "_write", split_write)
+        monkeypatch.setattr(tables, "_write", split_write)
         return forks
 
     return set_split
 
 
 class TestTwoProcesses:
-    """A 2**n table of at least ``cli._SPLIT_ROWS`` rows, where two CPUs
+    """A 2**n table of at least ``tables._SPLIT_ROWS`` rows, where two CPUs
     are granted, is rendered on two processes: a forked child renders the
     rows from the split point on.  Here the threshold and the CPU count
     are patched, so small tables split, and the split point is moved to
@@ -312,14 +317,14 @@ class TestTwoProcesses:
         assert forks == []
 
     def test_split_rule(self, monkeypatch):
-        monkeypatch.setattr(cli, "_SPLIT_ROWS", 100)
+        monkeypatch.setattr(tables, "_SPLIT_ROWS", 100)
         monkeypatch.setattr(_host, "cpu_count", lambda: 2)
-        assert [cli._split_point(count) for count in (99, 100, 101)] == [99, 50, 50]
+        assert [tables._split_point(count) for count in (99, 100, 101)] == [99, 50, 50]
         monkeypatch.setattr(_host, "cpu_count", lambda: 1)
-        assert cli._split_point(1000) == 1000
+        assert tables._split_point(1000) == 1000
         monkeypatch.setattr(_host, "cpu_count", lambda: 2)
         monkeypatch.delattr(os, "fork")
-        assert cli._split_point(1000) == 1000
+        assert tables._split_point(1000) == 1000
 
     def test_cpu_count_reads_the_affinity_mask(self):
         if hasattr(os, "sched_getaffinity"):
@@ -330,7 +335,7 @@ class TestTwoProcesses:
     def _rows_that(monkeypatch, parent=None, child=None):
         """Tables whose rows run ``parent`` before the first row this process
         renders and ``child`` before the first row the child renders."""
-        write = cli._write
+        write = tables._write
 
         def hooked_write(table, layout, handle, mid):
             rows = table.rows
@@ -344,7 +349,7 @@ class TestTwoProcesses:
             table.rows = hooked
             write(table, layout, handle, mid)
 
-        monkeypatch.setattr(cli, "_write", hooked_write)
+        monkeypatch.setattr(tables, "_write", hooked_write)
 
     @pytest.mark.parametrize(
         "error, reason",
@@ -410,7 +415,7 @@ class _CountingHandle(io.StringIO):
 
 
 class TestBatches:
-    """The rows of a table are written ``cli._BATCH_ROWS`` at a time.  A
+    """The rows of a table are written ``tables._BATCH_ROWS`` at a time.  A
     batch of 1, 2 or 3 rows or of more rows than the table has, on one
     process or two, must give the same bytes, with no write per row."""
 
@@ -422,7 +427,7 @@ class TestBatches:
         argv = (*argv, "--format", format)
         one = run_cli(capsys, *argv)
         assert one[0] == 0 and one[1]
-        monkeypatch.setattr(cli, "_BATCH_ROWS", batch)
+        monkeypatch.setattr(tables, "_BATCH_ROWS", batch)
         forks = split(lambda count: count // 2) if two else []
         target = tmp_path / "table"
         assert run_cli(capsys, *argv) == one
@@ -444,12 +449,12 @@ class TestBatches:
     def test_write_calls(self, capsys, monkeypatch, argv, rows, batch):
         expected = run_cli(capsys, *argv)
         if batch is not None:
-            monkeypatch.setattr(cli, "_BATCH_ROWS", batch)
+            monkeypatch.setattr(tables, "_BATCH_ROWS", batch)
         handle = _CountingHandle()
         monkeypatch.setattr(sys, "stdout", handle)
         assert cli.main(list(argv)) == 0
         assert handle.getvalue() == expected[1]
-        assert handle.calls <= -(-rows // cli._BATCH_ROWS) + 2
+        assert handle.calls <= -(-rows // tables._BATCH_ROWS) + 2
 
 
 class TestRationalCell:
@@ -472,7 +477,7 @@ class TestRationalCell:
     def test_matches_fraction(self, pair, common):
         num, den = pair[0] * common, pair[1] * common  # unreduced when common > 1
         value = Fraction(num, den)
-        assert cli._rational(num, den) == (str(value), repr(float(value)))
+        assert tables._rational(num, den) == (str(value), repr(float(value)))
 
 
 class TestPmfCommand:
@@ -566,7 +571,7 @@ class TestOtherTables:
 
     def test_moments_high_order(self, capsys):
         # order 300, the cap, from one pass, against the 8 leaves summed directly
-        assert cli._MOMENT_ORDER_CAP == 300
+        assert tables._MOMENT_ORDER_CAP == 300
         _, out, _ = run_cli(capsys, "moments", "--n", "3", "--p", "1/2", "--max-order", "300")
         by_name = {row["statistic"]: row for row in csv_rows(out)}
         moment = sum(Fraction(k, 7) ** 300 for k in range(8)) / 8
@@ -675,7 +680,7 @@ class TestParserBytes:
     _PMF = "usage: weaver pmf [-h] [--format {csv,json}] [--output OUTPUT] --n N --p P\n"
     USAGE_ERRORS = {
         ("pmf", "--n", "x"):
-            _PMF + "weaver pmf: error: argument --n: invalid _positive_int value: 'x'\n",
+            _PMF + "weaver pmf: error: argument --n: expected a positive integer, got x\n",
         ("pmf", "--n", "0"):
             _PMF + "weaver pmf: error: argument --n: expected a positive integer, got 0\n",
         ("triangle", "--n", "-1"):
@@ -688,7 +693,14 @@ class TestParserBytes:
         ("cdf", "--resolution", "x"):
             "usage: weaver cdf [-h] [--format {csv,json}] [--output OUTPUT] --n N --p P\n"
             "                  [--resolution RESOLUTION]\n"
-            "weaver cdf: error: argument --resolution: invalid _positive_int value: 'x'\n",
+            "weaver cdf: error: argument --resolution: expected a positive integer, got x\n",
+        ("triangle", "--n", "x"):
+            "usage: weaver triangle [-h] [--format {csv,json}] [--output OUTPUT] --n N\n"
+            "weaver triangle: error: argument --n: expected a non-negative integer, got x\n",
+        ("sample", "--seed", "x"):
+            "usage: weaver sample [-h] [--format {csv,json}] [--output OUTPUT] --n N --p P\n"
+            "                     [--parents PARENTS] [--reps REPS] [--seed SEED]\n"
+            "weaver sample: error: argument --seed: expected a non-negative integer, got x\n",
         ("pmf", "--n", "3"):
             _PMF + "weaver pmf: error: the following arguments are required: --p\n",
         ("bogus",):
@@ -715,6 +727,57 @@ class TestParserBytes:
             cli.main(list(argv))
         assert excinfo.value.code == 1
         assert capsys.readouterr() == ("", self.USAGE_ERRORS[argv])
+
+
+def _oracle_parse(argv):
+    """argv parsed as parse_config parsed it when every command had all its
+    flags, from cli._COMMANDS: the oracle for adding only the named
+    command's flags."""
+    parser = cli._Parser(
+        prog="weaver",
+        description="Exact tables and Monte Carlo reports of the weaving cascade W(n, p).",
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, flags) in cli._COMMANDS.items():
+        sub = commands.add_parser(name, help=help_text)
+        sub.add_argument("--format", choices=("csv", "json"), default="csv")
+        sub.add_argument("--output", default="-", help="output path, '-' for stdout")
+        for flag, options in flags:
+            sub.add_argument(flag, **options)
+    return parser.parse_args(argv)
+
+
+class TestNamedSubparser:
+    """parse_config adds flags only to the first argv word that names a
+    command.  Every argv parses as with every command's flags: to the same
+    values, or to the same exit status and the same texts."""
+
+    ARGV = [
+        ("cdf", "--output", "pmf", "--n", "3", "--p", "1/2"),  # a command name as a value
+        ("--", "pmf", "--n", "3", "--p", "1/2"),
+        ("--help", "pmf"),
+        ("pmf", "--form", "json", "--n", "2", "--p", "1/2"),  # an abbreviation
+        ("pmf", "--n", "2", "--p", "1/2", "--resolution", "3"),  # another command's flag
+        ("--n", "3", "pmf", "--p", "1/2"),
+        ("triangle", "--n", "2", "pmf"),
+        ("bogus", "pmf", "--n", "3", "--p", "1/2"),
+        ("sample", "--n", "4", "--p", "1/2", "--parents", "gauss:0,1;gauss:1,1", "--seed", "7"),
+        ("sample", "--help"),
+    ]
+
+    @staticmethod
+    def _outcome(capsys, parse, argv):
+        try:
+            result = vars(parse(list(argv)))
+        except SystemExit as exit:
+            result = exit.code
+        return result, capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", ARGV, ids=" ".join)
+    def test_parses_as_with_every_flag(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        expected = self._outcome(capsys, _oracle_parse, argv)
+        assert self._outcome(capsys, cli.parse_config, argv) == expected
 
 
 class TestUsageErrors:

@@ -1,8 +1,8 @@
 """The package root: it binds no names, numpy loads only with weaver.sampler,
-and weaver.analysis only with the tables that use it.  No run loads
-dataclasses, and only JSON output loads json; the records are NamedTuples
-that keep the contract of frozen records, and check their values again in
-_replace."""
+and weaver.analysis only with the tables that use it.  Help and usage
+errors load only the parser.  No run loads dataclasses, and only JSON
+output loads json; the records are NamedTuples that keep the contract of
+frozen records, and check their values again in _replace."""
 
 import ast
 import os
@@ -247,6 +247,29 @@ class TestNoAnalysis:
         assert _loaded(_RUN_CLI.format(argv=argv), "weaver.analysis")
 
 
+class TestParseBeforeLoading:
+    """Help, and a usage error caught before --p, compile only the parser:
+    neither the table code nor weaver.exact nor fractions loads.  Every
+    run that writes a table loads the table code."""
+
+    MODULES = ["weaver.tables", "weaver.exact", "fractions"]
+
+    @pytest.mark.parametrize("module", MODULES)
+    @pytest.mark.parametrize("argv", [["--help"], ["pmf", "--help"], ["sample", "--help"]],
+                             ids=" ".join)
+    def test_help_loads_only_the_parser(self, argv, module):
+        assert not _loaded(_RUN_CLI.format(argv=argv), module)
+
+    @pytest.mark.parametrize("module", MODULES)
+    @pytest.mark.parametrize("argv", [["bogus"], ["pmf", "--n", "0", "--p", "1/2"]], ids=" ".join)
+    def test_usage_error_loads_only_the_parser(self, argv, module):
+        assert not _loaded(_REJECTED.format(argv=argv), module)
+
+    @pytest.mark.parametrize("argv", _CSV_RUNS, ids=" ".join)
+    def test_table_runs_load_the_table_code(self, argv):
+        assert _loaded(_RUN_CLI.format(argv=argv), "weaver.tables")
+
+
 class TestLazyNamespace:
     """Names live in their submodules; the root only finds those modules."""
 
@@ -287,6 +310,7 @@ class TestPublicSurface:
             "uniform_interval", "gaussian", "standardize_parents", "is_standardized",
         },
         "cli": {"emit_table", "main", "parse_config"},
+        "tables": set(),
         "errors": {
             "WeaverError", "RangeError", "CapacityError", "RefinementError",
             "DegeneracyError", "ContractError",

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  A refusal is a RangeError (an
+argument that is not admitted, or a result that binary64 cannot hold) or a
+CapacityError (a cap); WeaverError itself reports a failed render child."""
 
 
 class WeaverError(Exception):
@@ -6,20 +8,8 @@ class WeaverError(Exception):
 
 
 class RangeError(WeaverError, ValueError):
-    """An index or parameter lies outside its documented range."""
+    """An argument lies outside its documented range, or a result outside binary64."""
 
 
 class CapacityError(WeaverError, ValueError):
     """A request exceeds a materialization or draw cap."""
-
-
-class RefinementError(WeaverError, ValueError):
-    """A dyadic point is finer than the construction depth supports."""
-
-
-class DegeneracyError(WeaverError, ValueError):
-    """Parent populations share the same mean; no fluctuation possible."""
-
-
-class ContractError(WeaverError, ValueError):
-    """A caller violated a documented precondition."""

@@ -26,7 +26,7 @@ from itertools import accumulate
 from math import comb
 from typing import Any, Iterable, Iterator, NamedTuple
 
-from weaver.errors import CapacityError, RangeError, RefinementError
+from weaver.errors import CapacityError, RangeError
 
 #: Largest depth of the 2**n tables (pmf vector, triangle row, cdf grid,
 #: cell mass vector), with no override; point queries are O(n), and the
@@ -226,7 +226,7 @@ def geometric_triangle_row(n: int) -> list[int]:
 
 def _check_refinement(resolution: int, params: WeaverParams) -> None:
     if resolution > params.n:
-        raise RefinementError(
+        raise RangeError(
             f"resolution {resolution} exceeds construction depth {params.n}; "
             "the value is not yet stable"
         )

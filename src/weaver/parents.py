@@ -15,12 +15,8 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, NamedTuple
 
-from weaver.errors import DegeneracyError, RangeError
+from weaver.errors import RangeError
 from weaver.exact import _Checked
-
-#: Absolute slack allowed when checking that a pair of parents has been
-#: standardized to means exactly 0 and 1 (float round-off only).
-STANDARDIZATION_TOL = 1e-12
 
 
 # each base family: its parameter count, and over its params the closed-form
@@ -50,13 +46,14 @@ class ParentDistribution(_Checked, NamedTuple("ParentDistribution", [
     point-mass ``(c,)``, bernoulli ``(q,)`` with q in [0, 1],
     uniform-interval ``(a, b)`` with a < b, gaussian ``(mean, variance)``
     with variance >= 0; these, ``scale`` and ``shift`` must be finite, or
-    :class:`RangeError` is raised.
+    :class:`RangeError` is raised.  ``params`` is stored as a tuple.
     """
 
     __slots__ = ()
 
     def __new__(cls, family: str, params: tuple[float, ...], scale: float = 1.0,
                 shift: float = 0.0) -> ParentDistribution:
+        params = tuple(params)
         if family not in _FAMILIES:
             raise RangeError(f"unknown family {family!r}; expected one of {tuple(_FAMILIES)}")
         arity, _, _, range_error = _FAMILIES[family]
@@ -154,14 +151,14 @@ def standardize_parents(
     mu0 = h0.mean
     mu1 = h1.mean
     if mu0 == mu1:
-        raise DegeneracyError(
+        raise RangeError(
             f"parent means coincide ({mu0}); no fluctuation between the "
             "two centres of gravity is possible"
         )
     slope = 1.0 / (mu1 - mu0)
     # a spread that overflows to +-inf leaves a slope of 0
     if not math.isfinite(slope) or slope == 0.0:
-        raise DegeneracyError(
+        raise RangeError(
             f"parent means {mu0} and {mu1} admit no finite standardizing slope "
             "in binary64"
         )
@@ -170,11 +167,3 @@ def standardize_parents(
         return ParentDistribution(h.family, h.params, h.scale * slope, (h.shift - mu0) * slope)
 
     return _apply(h0), _apply(h1)
-
-
-def is_standardized(h0: ParentDistribution, h1: ParentDistribution) -> bool:
-    """True when the means are 0 and 1 up to float round-off."""
-    return (
-        abs(h0.mean) <= STANDARDIZATION_TOL
-        and abs(h1.mean - 1.0) <= STANDARDIZATION_TOL
-    )

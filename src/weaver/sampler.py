@@ -44,9 +44,9 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from weaver import analysis
-from weaver.errors import CapacityError, ContractError, RangeError
+from weaver.errors import CapacityError, RangeError
 from weaver.exact import SelectionPath, WeaverParams, _check_integer, _check_probability, cdf_grid
-from weaver.parents import ParentDistribution, is_standardized
+from weaver.parents import ParentDistribution
 
 #: Layout of the ensemble streams described above; realized samples
 #: change whenever it does.
@@ -55,11 +55,6 @@ STREAM_VERSION = 3
 #: Replications per chunk of an ensemble.  A chunk's arrays are a few
 #: hundred KiB at the raw draw cap, so memory stays flat in the count.
 CHUNK = 1024
-
-#: Resolution of the selection Bernoulli: each draw compares a 128-bit
-#: uniform integer against the exact binary expansion of p.  The bias is
-#: zero for dyadic p and below 2**-128 otherwise.
-BERNOULLI_BITS = 128
 
 #: Full runs draw 2**n - 1 observations; this is the desk-scale ceiling.
 RAW_DRAW_CAP = 30
@@ -112,8 +107,9 @@ def _stream(seed: int, key: tuple[int, ...], chunk: int, purpose: int) -> np.ran
 
 
 def _selection_threshold(p: Fraction) -> int:
-    # floor(p * 2**128); exact for dyadic p, off by < 2**-128 otherwise
-    return (p.numerator << BERNOULLI_BITS) // p.denominator
+    # floor(p * 2**128), for the 128-bit uniforms of _draw_words' two 64-bit
+    # words: exact for dyadic p, off by < 2**-128 otherwise
+    return (p.numerator << 128) // p.denominator
 
 
 def _path_threshold(n: int, p: Fraction | str | float) -> int:
@@ -162,8 +158,9 @@ def _check_run(n: int, h0: ParentDistribution, h1: ParentDistribution) -> None:
         raise CapacityError(
             f"depth {n} draws 2**{n} - 1 observations, above the raw draw cap {RAW_DRAW_CAP}"
         )
-    if not is_standardized(h0, h1):
-        raise ContractError(
+    # means 0 and 1 up to float round-off; a NaN mean fails too
+    if not (abs(h0.mean) <= 1e-12 and abs(h1.mean - 1.0) <= 1e-12):
+        raise RangeError(
             f"parents must be standardized to means 0 and 1, got "
             f"({h0.mean}, {h1.mean}); run standardize_parents first"
         )

@@ -30,7 +30,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 # weaver.sampler, the one module that loads numpy, is imported only when
 # a `sample` run draws, and weaver.analysis only by the list tables
-from weaver import _host, exact
+from weaver import exact
 from weaver.errors import CapacityError, WeaverError
 from weaver.exact import WeaverParams
 
@@ -146,9 +146,13 @@ def _split_point(count: int) -> int:
     ``count`` rows: the middle one, if the table has at least
     :data:`_SPLIT_ROWS` rows, the platform forks, and two CPUs are
     granted; else ``count``, for no child."""
-    if count < _SPLIT_ROWS or not hasattr(os, "fork") or _host.cpu_count() < 2:
+    if count < _SPLIT_ROWS or not hasattr(os, "fork"):
         return count
-    return count // 2
+    # the affinity mask, which taskset narrows, or the machine's count on
+    # platforms without one
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return count // 2 if cpus >= 2 else count
 
 
 #: Rows joined into the text of one write call.  A `TextIOWrapper` write

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from weaver import _host, analysis, cli, exact, sampler, tables
+from weaver import analysis, cli, exact, sampler, tables
 from weaver.errors import CapacityError, RangeError
 from weaver.exact import WeaverParams
 
@@ -267,7 +267,7 @@ def split(monkeypatch):
             write(table, layout, handle, mid)
 
         monkeypatch.setattr(tables, "_SPLIT_ROWS", 2)
-        monkeypatch.setattr(_host, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(os, "fork", counted_fork)
         monkeypatch.setattr(tables, "_write", split_write)
         return forks
@@ -318,18 +318,29 @@ class TestTwoProcesses:
 
     def test_split_rule(self, monkeypatch):
         monkeypatch.setattr(tables, "_SPLIT_ROWS", 100)
-        monkeypatch.setattr(_host, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert [tables._split_point(count) for count in (99, 100, 101)] == [99, 50, 50]
-        monkeypatch.setattr(_host, "cpu_count", lambda: 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert tables._split_point(1000) == 1000
-        monkeypatch.setattr(_host, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.delattr(os, "fork")
         assert tables._split_point(1000) == 1000
 
-    def test_cpu_count_reads_the_affinity_mask(self):
-        if hasattr(os, "sched_getaffinity"):
-            assert _host.cpu_count() == len(os.sched_getaffinity(0))
-        assert _host.cpu_count() >= 1
+    def test_cpu_count_reads_the_affinity_mask(self, monkeypatch):
+        # the mask, not the machine's count: taskset -c 0 keeps one process
+        monkeypatch.setattr(tables, "_SPLIT_ROWS", 100)
+        for mask, machine, split in [({0}, 2, 1000), ({0, 1}, 1, 500)]:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, mask=mask: mask, raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda machine=machine: machine)
+            assert tables._split_point(1000) == split
+
+    @pytest.mark.parametrize("cpus, split", [(1, 1000), (2, 500), (None, 1000)])
+    def test_cpu_count_without_an_affinity_mask(self, monkeypatch, cpus, split):
+        # where os has no sched_getaffinity, the machine's count, or 1
+        monkeypatch.setattr(tables, "_SPLIT_ROWS", 100)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert tables._split_point(1000) == split
 
     @staticmethod
     def _rows_that(monkeypatch, parent=None, child=None):

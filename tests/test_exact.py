@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weaver import analysis, exact, sampler
-from weaver.errors import CapacityError, RangeError, RefinementError
+from weaver.errors import CapacityError, RangeError
 from weaver.exact import (
     DyadicPoint,
     SelectionPath,
@@ -458,7 +458,8 @@ class TestCdf:
 
     def test_unstable_resolution_rejected(self):
         params = WeaverParams(n=3, p=Fraction(1, 2))
-        with pytest.raises(RefinementError):
+        with pytest.raises(RangeError, match="^resolution 4 exceeds construction depth 3; "
+                           "the value is not yet stable$"):
             cdf_at_dyadic(DyadicPoint(k=1, n=4), params)
 
 
@@ -518,7 +519,8 @@ class TestCdfGrid:
         assert (list(sums), den) == ([27], 27)
 
     def test_unstable_resolution_rejected(self):
-        with pytest.raises(RefinementError, match="exceeds construction depth 3"):
+        with pytest.raises(RangeError, match="^resolution 4 exceeds construction depth 3; "
+                           "the value is not yet stable$"):
             cdf_grid(WeaverParams(n=3, p=Fraction(1, 2)), 4)
 
     def test_cap_checked_before_refinement(self, monkeypatch):

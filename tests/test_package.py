@@ -300,21 +300,18 @@ class TestPublicSurface:
             "pmodel_cell_masses",
         },
         "sampler": {
-            "BERNOULLI_BITS", "CHUNK", "PATH_ONLY_CAP", "RAW_DRAW_CAP", "STREAM_VERSION",
+            "CHUNK", "PATH_ONLY_CAP", "RAW_DRAW_CAP", "STREAM_VERSION",
             "MomentReport", "SampleRun", "convergence_ks",
             "draw_selection_path", "monte_carlo_moments", "path_ensemble",
             "run_exponential_sample", "run_from_path", "simulate_mean_ensemble",
         },
         "parents": {
-            "STANDARDIZATION_TOL", "ParentDistribution", "point_mass", "bernoulli",
-            "uniform_interval", "gaussian", "standardize_parents", "is_standardized",
+            "ParentDistribution", "point_mass", "bernoulli", "uniform_interval", "gaussian",
+            "standardize_parents",
         },
         "cli": {"emit_table", "main", "parse_config"},
         "tables": set(),
-        "errors": {
-            "WeaverError", "RangeError", "CapacityError", "RefinementError",
-            "DegeneracyError", "ContractError",
-        },
+        "errors": {"WeaverError", "RangeError", "CapacityError"},
     }
 
     @pytest.mark.parametrize("module", sorted(SURFACE))

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import math
 import operator
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -12,19 +13,30 @@ import pytest
 import scipy.stats
 
 from weaver import analysis, sampler
-from weaver.errors import CapacityError, ContractError, DegeneracyError, RangeError
+from weaver.errors import CapacityError, RangeError
 from weaver.exact import DyadicPoint, SelectionPath, WeaverParams, cdf_at_dyadic, pmf_point
 from weaver.parents import (
     ParentDistribution,
+    _parse_spec,
     bernoulli,
     gaussian,
-    is_standardized,
     point_mass,
     standardize_parents,
     uniform_interval,
 )
 
 STANDARD = (point_mass(0.0), point_mass(1.0))
+
+# the refusal of a point(0), point(2) pair, which is not standardized
+UNSTANDARDIZED = (
+    "parents must be standardized to means 0 and 1, got (0.0, 2.0); run standardize_parents first"
+)
+
+
+def refused(message):
+    """pytest.raises for a RangeError whose whole text is ``message``."""
+    return pytest.raises(RangeError, match=f"^{re.escape(message)}$")
+
 
 # every family, standardized, plus a pair of different families
 PAIRS = {
@@ -109,6 +121,40 @@ class TestParents:
         with pytest.raises(RangeError, match="scale and shift must be finite"):
             ParentDistribution("gaussian", (0.0, 1.0), **affine)
 
+    def test_params_list_is_stored_as_a_tuple(self):
+        params = [0.0, 1.0]
+        from_list, from_tuple = ParentDistribution("gaussian", params), gaussian(0.0, 1.0)
+        assert from_list == from_tuple and type(from_list.params) is tuple
+        assert hash(from_list) == hash(from_tuple)
+        params.append(5.0)  # the caller's list is not the record's
+        assert from_list == from_tuple
+        assert (from_list.mean, from_list.variance) == (0.0, 1.0)
+
+    # README's short spec names, and the records they give
+    SHORT_SPECS = {
+        "point:0": point_mass(0.0),
+        "bernoulli:0.25": bernoulli(0.25),
+        "uniform:-1,2": uniform_interval(-1.0, 2.0),
+        "gauss:0,1": gaussian(0.0, 1.0),
+    }
+
+    @pytest.mark.parametrize(
+        "spec, short",
+        [
+            ("pointmass:0", "point:0"),
+            ("point-mass:0", "point:0"),
+            ("POINT:0", "point:0"),
+            ("Bernoulli:0.25", "bernoulli:0.25"),
+            ("uniform-interval:-1,2", "uniform:-1,2"),
+            ("UNIFORM-Interval:-1,2", "uniform:-1,2"),
+            ("gaussian:0,1", "gauss:0,1"),
+            (" Gauss :0,1", "gauss:0,1"),
+        ],
+    )
+    def test_spec_aliases(self, spec, short):
+        # a family name is read lower-cased and stripped
+        assert _parse_spec(spec) == _parse_spec(short) == self.SHORT_SPECS[short]
+
     def test_draw_statistics(self):
         rng = np.random.default_rng(42)
         for parent in (point_mass(2.0), bernoulli(0.3), uniform_interval(-1, 3), gaussian(5, 4)):
@@ -159,7 +205,7 @@ class TestParents:
         h0, h1 = standardize_parents(gaussian(3.0, 4.0), gaussian(7.0, 1.0))
         assert h0.mean == pytest.approx(0.0)
         assert h1.mean == pytest.approx(1.0)
-        assert is_standardized(h0, h1)
+        sampler._check_run(4, h0, h1)  # standardized up to round-off
         # variances shrink by the squared gap of the original means
         assert h0.variance == pytest.approx(4.0 / 16.0)
         assert h1.variance == pytest.approx(1.0 / 16.0)
@@ -181,12 +227,14 @@ class TestParents:
         assert h1.variance == pytest.approx((1 / 3) / 4)
 
     def test_standardize_rejects_equal_means(self):
-        with pytest.raises(DegeneracyError):
+        with refused("parent means coincide (1.0); no fluctuation between the two centres "
+                     "of gravity is possible"):
             standardize_parents(gaussian(1.0, 1.0), gaussian(1.0, 2.0))
 
     @pytest.mark.parametrize("mu0, mu1", [(0.0, 1e-320), (1e308, -1e308)])
     def test_standardize_rejects_non_finite_slope(self, mu0, mu1):
-        with pytest.raises(DegeneracyError):
+        with refused(f"parent means {mu0} and {mu1} admit no finite standardizing slope "
+                     "in binary64"):
             standardize_parents(point_mass(mu0), point_mass(mu1))
 
     def test_already_standard_pairs_pass_through(self):
@@ -281,8 +329,19 @@ class TestRuns:
         assert sampler.run_from_path(run.path, h0, h1, seed) == run
 
     def test_unstandardized_parents_rejected(self):
-        with pytest.raises(ContractError):
+        with refused(UNSTANDARDIZED):
             sampler.run_exponential_sample(4, point_mass(0.0), point_mass(2.0), Fraction(1, 2), 0)
+
+    def test_standardization_slack(self):
+        # means 0 and 1 up to 1e-12 pass; further off, or NaN, is refused
+        sampler._check_run(4, point_mass(-1e-12), point_mass(1.0 + 2.0**-40))
+        with pytest.raises(RangeError, match="must be standardized"):
+            sampler._check_run(4, point_mass(2e-12), point_mass(1.0))
+        with pytest.raises(RangeError, match="must be standardized"):
+            sampler._check_run(4, point_mass(0.0), point_mass(1.0 + 2.0**-39))
+        nan_mean = ParentDistribution("uniform-interval", (1e308, 1.7e308), scale=0.0)
+        with pytest.raises(RangeError, match=r"got \(0.0, nan\)"):
+            sampler._check_run(4, point_mass(0.0), nan_mean)
 
     def test_raw_draw_cap(self):
         with pytest.raises(CapacityError):
@@ -496,7 +555,7 @@ class TestChunkedStreams:
             sampler.path_ensemble(64, "1/2", 10, seed=0)
         with pytest.raises(CapacityError):
             sampler.simulate_mean_ensemble(31, *STANDARD, "1/2", 10, seed=0)
-        with pytest.raises(ContractError):
+        with refused(UNSTANDARDIZED):
             sampler.simulate_mean_ensemble(4, point_mass(0.0), point_mass(2.0), "1/2", 10, seed=0)
 
     @pytest.mark.parametrize(

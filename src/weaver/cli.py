@@ -3,7 +3,7 @@
 Each command is declared once, in the command table ``_COMMANDS``: its
 help text and its flags.  The parser is built from that table, and
 :func:`main` finds the command's row builder in weaver.tables by its
-name, ``_<command>_rows``.
+name, ``_<command>_rows``; :func:`emit_table` writes the table it returns.
 
 This module, the parser side, imports only argparse, sys and weaver.errors,
 and adds flags only to the command that argv names.  The table code
@@ -90,31 +90,20 @@ def parse_config(argv: list[str]) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def emit_table(table: "tables._Table | list[dict]", format: str, output: str) -> int:
-    """Write a table as CSV or JSON to a path or stdout; ``len(table)`` is
-    its number of data rows.  A 2**n table passes a ``tables._Table``, whose
-    rows are built as they are written, a bounded batch at a time, on two
-    processes where it has many (``tables._split_point``).  A small table
-    passes a list of dict rows, which ``tables._listed`` renders before the
-    output is opened, so a cell past the int-to-str limit is refused before
-    the first byte.  Every rational is written as its exact fraction and its
-    binary64 approximation (two CSV columns, or an {"exact", "approx"} object).
-    """
+def emit_table(table: "tables._Table", format: str, output: str) -> int:
+    """Write a table as CSV or JSON to a path or stdout, laid out by
+    ``tables._write``; ``len(table)`` is its number of data rows.  Every
+    rational is written as its exact fraction and its binary64
+    approximation (two CSV columns, or an {"exact", "approx"} object)."""
     from weaver import tables
 
     if not table:
         raise WeaverError("refusing to emit an empty table")
-    if isinstance(table, list):
-        table = tables._listed(table, format)
-        mid = len(table)
-    else:
-        mid = tables._split_point(len(table))
-    layout = (tables._csv_layout if format == "csv" else tables._json_layout)(table.columns)
     if output == "-":
-        tables._write(table, layout, sys.stdout, mid)
+        tables._write(table, format, sys.stdout)
     else:
         with open(output, "w", encoding="utf-8", newline="") as handle:
-            tables._write(table, layout, handle, mid)
+            tables._write(table, format, handle)
     return 0
 
 

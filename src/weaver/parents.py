@@ -16,7 +16,15 @@ import math
 from typing import Any, Callable, NamedTuple
 
 from weaver.errors import RangeError
-from weaver.exact import _Checked
+from weaver.exact import _Checked, _check_integer
+
+
+def _float(value: float) -> float:
+    # float(value), or an infinity of its sign for an int that float() refuses
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 # each base family: its parameter count, and over its params the closed-form
@@ -45,15 +53,16 @@ class ParentDistribution(_Checked, NamedTuple("ParentDistribution", [
     ``params`` are the natural parameters of the base family:
     point-mass ``(c,)``, bernoulli ``(q,)`` with q in [0, 1],
     uniform-interval ``(a, b)`` with a < b, gaussian ``(mean, variance)``
-    with variance >= 0; these, ``scale`` and ``shift`` must be finite, or
-    :class:`RangeError` is raised.  ``params`` is stored as a tuple.
+    with variance >= 0; these, ``scale`` and ``shift`` must be finite in
+    binary64, or :class:`RangeError` is raised.  Each is stored as a float,
+    ``params`` as a tuple.
     """
 
     __slots__ = ()
 
     def __new__(cls, family: str, params: tuple[float, ...], scale: float = 1.0,
                 shift: float = 0.0) -> ParentDistribution:
-        params = tuple(params)
+        params, scale, shift = tuple(map(_float, params)), _float(scale), _float(shift)
         if family not in _FAMILIES:
             raise RangeError(f"unknown family {family!r}; expected one of {tuple(_FAMILIES)}")
         arity, _, _, range_error = _FAMILIES[family]
@@ -62,7 +71,7 @@ class ParentDistribution(_Checked, NamedTuple("ParentDistribution", [
         # the range first: a NaN probability is reported as outside [0, 1]
         if message := range_error(*params):
             raise RangeError(message)
-        if not all(math.isfinite(value) for value in params):
+        if not all(map(math.isfinite, params)):
             raise RangeError(f"{family} parameters must be finite, got {params}")
         if not (math.isfinite(scale) and math.isfinite(shift)):
             raise RangeError(f"scale and shift must be finite, got {scale} and {shift}")
@@ -78,7 +87,8 @@ class ParentDistribution(_Checked, NamedTuple("ParentDistribution", [
 
     def draw(self, rng: Any, size: int) -> Any:
         """Draw ``size`` iid observations from a numpy Generator as a float64
-        array: the block sums of ``size`` blocks of one observation."""
+        array: the block sums of ``size`` (an int >= 0) blocks of one observation."""
+        _check_integer(size, 0, "size")
         import numpy as np
 
         from weaver.sampler import _parent_sums
@@ -87,19 +97,19 @@ class ParentDistribution(_Checked, NamedTuple("ParentDistribution", [
 
 
 def point_mass(c: float) -> ParentDistribution:
-    return ParentDistribution("point-mass", (float(c),))
+    return ParentDistribution("point-mass", (c,))
 
 
 def bernoulli(q: float) -> ParentDistribution:
-    return ParentDistribution("bernoulli", (float(q),))
+    return ParentDistribution("bernoulli", (q,))
 
 
 def uniform_interval(a: float, b: float) -> ParentDistribution:
-    return ParentDistribution("uniform-interval", (float(a), float(b)))
+    return ParentDistribution("uniform-interval", (a, b))
 
 
 def gaussian(mean: float, variance: float) -> ParentDistribution:
-    return ParentDistribution("gaussian", (float(mean), float(variance)))
+    return ParentDistribution("gaussian", (mean, variance))
 
 
 # family name in a parent spec: its base family

@@ -355,6 +355,8 @@ def simulate_mean_ensemble(
     several independent ensembles (``convergence_ks`` keys by depth).
     """
     _check_run(n, h0, h1)
+    for entry in key:
+        _check_integer(entry, 0, "key entry")
     denominator = (1 << n) - 1
     return np.concatenate([
         _totals(_block_sums(selected, h0, h1, seed, key, chunk)) / denominator

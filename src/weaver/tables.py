@@ -5,14 +5,15 @@ module at the first `--p` or once argv parses.
 Every table declares its columns before its rows, each column scalar or
 rational.  A rational is written twice, as an exact fraction string and
 as a binary64 approximation: the exact column feeds tests and
-round-trips, the approximate one feeds plots.  Each row is a tuple of
-cell texts, written through one row template per table, a bounded
-batch of rows at a time, so that the peak RSS stays flat however many
-rows a table has.  Identical invocations (including the seed)
-produce byte-identical output.
+round-trips, the approximate one feeds plots.  Every builder returns a
+:class:`_Table`, whose rows :func:`_write` alone lays out, each a tuple
+of cell texts, through one row template per table, a bounded batch of
+rows at a time, so that the peak RSS stays flat however many rows a
+table has.  Identical invocations (including the seed) produce
+byte-identical output.
 
-A 2**n table of many rows is rendered on two processes where two CPUs
-are granted: a forked child renders the second half of the rows into a
+A table of many rows is rendered on two processes where two CPUs are
+granted: a forked child renders the second half of the rows into a
 temporary file while this process renders the first half, and then
 copies the child's bytes in after them.  The bytes are the same as on
 one process.
@@ -63,17 +64,10 @@ def _rational(num: int, den: int) -> tuple[str, str]:
     return text, repr(num / den)
 
 
-#: A table's columns: each name with whether it is rational.
-_Columns = Sequence[tuple[str, bool]]
-
-
-#: Rows ``start`` to ``stop - 1`` of a table, given ``start`` and ``stop``.
-_Rows = Callable[[int, int], Iterable[tuple[str, ...]]]
-
-
 class _Table:
     """A table as the writers take it: its ``columns``, declared before
-    any row, and ``len()`` rows, any range of them by ``rows(start, stop)``.
+    any row, each a name and whether it is rational, and ``len()`` rows,
+    any range of them by ``rows(start, stop)``.
 
     A row is a tuple of cell texts, already rendered: one text per scalar
     column and two per rational column, the exact and approx texts of
@@ -81,17 +75,16 @@ class _Table:
     iterator, so each row is built as it is written, from its k alone.
     """
 
-    def __init__(self, columns: _Columns, count: int, rows: _Rows) -> None:
-        self.columns = columns
-        self.rows = rows
-        self._count = count
+    def __init__(self, columns: Sequence[tuple[str, bool]], count: int,
+                 rows: Callable[[int, int], Iterable[tuple[str, ...]]]) -> None:
+        self.columns, self.rows, self._count = columns, rows, count
 
     def __len__(self) -> int:
         return self._count
 
 
 def _listed(rows: list[dict[str, Any]], format: str) -> _Table:
-    """A small list table with its cells rendered for ``format``: each
+    """The table of a list of dict rows, rendered now for ``format``: each
     Fraction through :func:`_rational` and each int (not a bool) through
     :func:`_digits`, which refuse a text past the int-to-str limit, and
     any other value through str() in CSV or json.dumps() in JSON.  The
@@ -113,17 +106,16 @@ def _listed(rows: list[dict[str, Any]], format: str) -> _Table:
     return _Table(columns, len(texts), lambda start, stop: texts[start:stop])
 
 
-def _csv_layout(columns: _Columns) -> tuple[str, str, str, str]:
-    header = [f"{name}_exact,{name}_approx" if rational else name for name, rational in columns]
-    template = ",".join(["%s,%s" if rational else "%s" for _, rational in columns])
-    return ",".join(header) + "\n", template, "\n", "\n"
-
-
-def _json_layout(columns: _Columns) -> tuple[str, str, str, str]:
-    # laid out exactly as json.dumps(rows, indent=2) would, with each
-    # rational as an {"exact", "approx"} object; json writes an int as
-    # str() does and a finite float as repr() does, and an exact text
-    # (digits, '-', '/') needs no escape
+def _layout(columns: Sequence[tuple[str, bool]], format: str) -> tuple[str, str, str, str]:
+    """The head, row template, separator and tail of a table in ``format``.
+    JSON is laid out exactly as json.dumps(rows, indent=2) would, with each
+    rational as an {"exact", "approx"} object; json writes an int as str()
+    does and a finite float as repr() does, and an exact text (digits, '-',
+    '/') needs no escape."""
+    if format == "csv":
+        header = [f"{name}_exact,{name}_approx" if rational else name for name, rational in columns]
+        template = ",".join(["%s,%s" if rational else "%s" for _, rational in columns])
+        return ",".join(header) + "\n", template, "\n", "\n"
     import json
 
     rational = '{\n      "exact": "%s",\n      "approx": %s\n    }'
@@ -134,15 +126,16 @@ def _json_layout(columns: _Columns) -> tuple[str, str, str, str]:
     return "[\n", "  {\n" + ",\n".join(fields) + "\n  }", ",\n", "\n]\n"
 
 
-#: Fewest rows of a 2**n table that are rendered on two processes.  The
-#: fork, the temporary file and the copy cost about 3-5 ms; at 2**14 rows
-#: the split broke even on `triangle`, whose rows are the cheapest, and
-#: saved 15-22 ms on the other three tables (2-vCPU Xeon, 2.1 GHz).
+#: Fewest rows of a table that are rendered on two processes.  The fork,
+#: the temporary file and the copy cost about 3-5 ms; at 2**14 rows the
+#: split broke even on `triangle`, whose rows are the cheapest, and saved
+#: 15-22 ms on the other three (2-vCPU Xeon, 2.1 GHz).  Only a raised
+#: int-to-str limit lets a list table reach it.
 _SPLIT_ROWS = 1 << 14
 
 
 def _split_point(count: int) -> int:
-    """The first row that a forked child renders of a 2**n table of
+    """The first row that a forked child renders of a table of
     ``count`` rows: the middle one, if the table has at least
     :data:`_SPLIT_ROWS` rows, the platform forks, and two CPUs are
     granted; else ``count``, for no child."""
@@ -172,24 +165,25 @@ def _write_rows(rows: Iterable[tuple[str, ...]], follow: Callable[[tuple[str, ..
         write(batch)
 
 
-def _write(table: _Table, layout: tuple[str, str, str, str], handle: TextIO, mid: int) -> None:
-    """Write the layout's head, its template % row for every row, with its
-    separator between rows, and its tail, a batch of rows at a time
-    (:data:`_BATCH_ROWS`).
+def _write(table: _Table, format: str, handle: TextIO) -> None:
+    """Write the table in the layout of ``format``: its head, its template
+    % row for every row, with its separator between rows, and its tail, a
+    batch of rows at a time (:data:`_BATCH_ROWS`).
 
-    Rows from ``mid`` on (0 < mid <= len(table)) are rendered by a forked
-    child into an unnamed temporary file while this process renders the
-    rows before ``mid``; their bytes are then copied in after those, 64 KiB
+    Rows from :func:`_split_point` on are rendered by a forked child into
+    an unnamed temporary file while this process renders the rows before
+    them; their bytes are then copied in after those, 64 KiB
     at a time, so that the copy adds little to the peak RSS.  The child
     ends only through os._exit: it prints nothing and runs none of this
     process's exit handlers, and the text of an error it meets reaches
     this process through a pipe, for the one-line message.  It is reaped
     whatever this process meets, and killed first if this process fails.
-    No command starts a thread, and only `sample`, a list table, loads
-    numpy, so no other thread holds a lock at the fork.
+    No command starts a thread, and only `sample`, a table of one row,
+    loads numpy, so no other thread holds a lock at the fork.
     """
-    head, template, separator, tail = layout
+    head, template, separator, tail = _layout(table.columns, format)
     count = len(table)
+    mid = _split_point(count)
     follow = (separator + template).__mod__
 
     def write_first_rows() -> None:
@@ -285,7 +279,7 @@ def _triangle_rows(args: argparse.Namespace) -> _Table:
 _MOMENT_ORDER_CAP = 300
 
 
-def _moments_rows(args: argparse.Namespace) -> list[dict[str, Any]]:
+def _moments_rows(args: argparse.Namespace) -> _Table:
     params = WeaverParams(n=args.n, p=args.p)
     if args.max_order > _MOMENT_ORDER_CAP:
         raise CapacityError(
@@ -295,41 +289,41 @@ def _moments_rows(args: argparse.Namespace) -> list[dict[str, Any]]:
 
     numerators, denominator = analysis._moment_numerators(params, args.max_order)
     support = (1 << args.n) - 1
-    return [
+    return _listed([
         {"statistic": "mean", "value": args.p},
         {"statistic": "variance", "value": analysis.exact_variance(params)},
         {"statistic": "limit_variance", "value": args.p * (1 - args.p) / 3},
     ] + [
         {"statistic": f"moment_{j}", "value": Fraction(numerators[j], denominator * support**j)}
         for j in range(1, args.max_order + 1)
-    ]
+    ], args.format)
 
 
-def _by_depth(row: Callable[[int], dict], args: argparse.Namespace) -> list[dict[str, Any]]:
-    """The rows of depths 1 to args.n, whose cells widen with the depth:
+def _by_depth(row: Callable[[int], dict], args: argparse.Namespace) -> _Table:
+    """The table of depths 1 to args.n, whose cells widen with the depth:
     rendering the last row first refuses a depth past the int-to-str limit
     before any other row is built."""
     last = row(args.n)
     _listed([last], args.format)
-    return [row(n) for n in range(1, args.n)] + [last]
+    return _listed([row(n) for n in range(1, args.n)] + [last], args.format)
 
 
-def _decompose_rows(args: argparse.Namespace) -> list[dict[str, Any]]:
+def _decompose_rows(args: argparse.Namespace) -> _Table:
     from weaver import analysis
 
     # the fields are in column order
     return _by_depth(lambda n: analysis.variance_decomposition(n)._asdict(), args)
 
 
-def _sample_rows(args: argparse.Namespace) -> list[dict[str, Any]]:
+def _sample_rows(args: argparse.Namespace) -> _Table:
     from weaver import parents, sampler
 
     h0, h1 = parents.standardize_parents(*args.parents)
     report = sampler.monte_carlo_moments(args.n, h0, h1, args.p, args.reps, args.seed)
-    return [{"n": args.n, "p": args.p, "seed": args.seed, **report._asdict()}]
+    return _listed([{"n": args.n, "p": args.p, "seed": args.seed, **report._asdict()}], args.format)
 
 
-def _converge_rows(args: argparse.Namespace) -> list[dict[str, Any]]:
+def _converge_rows(args: argparse.Namespace) -> _Table:
     from weaver import analysis
 
     bernoulli_variance = args.p * (1 - args.p)

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from weaver import analysis, cli, exact, sampler, tables
-from weaver.errors import CapacityError, RangeError
+from weaver.errors import CapacityError, RangeError, WeaverError
 from weaver.exact import WeaverParams
 
 
@@ -109,11 +109,49 @@ def _triangle_oracle(args) -> list[dict[str, Any]]:
     return [{"k": k, "exponent": e} for k, e in enumerate(exact.geometric_triangle_row(args.n))]
 
 
+# The rows of each list table from the library's public functions, not
+# from the row builders.
+def _moments_oracle(args) -> list[dict[str, Any]]:
+    params = WeaverParams(n=args.n, p=args.p)
+    return [
+        {"statistic": "mean", "value": analysis.exact_moment(params, 1)},
+        {"statistic": "variance", "value": analysis.exact_variance(params)},
+        {"statistic": "limit_variance", "value": args.p * (1 - args.p) / 3},
+    ] + [
+        {"statistic": f"moment_{j}", "value": analysis.exact_moment(params, j)}
+        for j in range(1, args.max_order + 1)
+    ]
+
+
+def _decompose_oracle(args) -> list[dict[str, Any]]:
+    return [analysis.variance_decomposition(n)._asdict() for n in range(1, args.n + 1)]
+
+
+def _converge_oracle(args) -> list[dict[str, Any]]:
+    rows = []
+    for n in range(1, args.n + 1):
+        variance = analysis.exact_variance(WeaverParams(n=n, p=args.p))
+        rows.append({"n": n, "variance": variance, "ratio": variance / (args.p * (1 - args.p))})
+    return rows
+
+
+def _sample_oracle(args) -> list[dict[str, Any]]:
+    from weaver.parents import standardize_parents
+
+    h0, h1 = standardize_parents(*args.parents)
+    report = sampler.monte_carlo_moments(args.n, h0, h1, args.p, args.reps, args.seed)
+    return [{"n": args.n, "p": args.p, "seed": args.seed, **report._asdict()}]
+
+
 ORACLE_ROWS = {
     "pmf": _pmf_oracle,
     "cdf": _cdf_oracle,
     "density": _density_oracle,
     "triangle": _triangle_oracle,
+    "moments": _moments_oracle,
+    "decompose": _decompose_oracle,
+    "converge": _converge_oracle,
+    "sample": _sample_oracle,
 }
 
 
@@ -139,11 +177,11 @@ class TestRendering:
 
     @staticmethod
     def expected(argv, format):
-        # the 2**n tables from their oracle rows; the small list tables are
-        # dict rows already, so for them the renderers check the layout
         args = cli.parse_config(list(argv))
-        rows = ORACLE_ROWS.get(args.command, _built_rows)(args)
-        return ORACLES[format](rows)
+        return ORACLES[format](ORACLE_ROWS[args.command](args))
+
+    def test_every_command_has_an_oracle(self):
+        assert set(ORACLE_ROWS) == set(cli._COMMANDS)
 
     @pytest.mark.parametrize("format", ["csv", "json"])
     @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
@@ -171,7 +209,7 @@ class TestRendering:
             {"whole": third, "neg": -2.5, "int": -300, "big": -(2**70), "flag": True,
              "text": "x", "tiny": 1.5, "q": Fraction(-1, 3)},
         ]
-        assert cli.emit_table(rows, format, "-") == 0
+        assert cli.emit_table(tables._listed(rows, format), format, "-") == 0
         assert capsys.readouterr().out == ORACLES[format](rows)
 
 
@@ -248,39 +286,29 @@ def _no_child_left():
 
 @pytest.fixture
 def split(monkeypatch):
-    """``split(choose)`` makes each 2**n table split at row
-    ``choose(count)``, once the rule, with the threshold and the CPU
-    count patched, has picked the middle; it returns the list of forks
-    made in this process."""
+    """``split(choose)`` makes every table split at row ``choose(count)``
+    in place of the rule's choice; it returns the list of the split points
+    chosen, each below ``count`` where a child is forked."""
 
     def set_split(choose):
-        forks, fork, write = [], os.fork, tables._write
+        points = []
 
-        def counted_fork():
-            forks.append(fork())
-            return forks[-1]
+        def split_point(count):
+            points.append(choose(count))
+            return points[-1]
 
-        def split_write(table, layout, handle, mid):
-            if mid < len(table):  # a list table keeps all its rows here
-                assert mid == len(table) // 2
-                mid = choose(len(table))
-            write(table, layout, handle, mid)
-
-        monkeypatch.setattr(tables, "_SPLIT_ROWS", 2)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(os, "fork", counted_fork)
-        monkeypatch.setattr(tables, "_write", split_write)
-        return forks
+        monkeypatch.setattr(tables, "_split_point", split_point)
+        return points
 
     return set_split
 
 
 class TestTwoProcesses:
-    """A 2**n table of at least ``tables._SPLIT_ROWS`` rows, where two CPUs
-    are granted, is rendered on two processes: a forked child renders the
-    rows from the split point on.  Here the threshold and the CPU count
-    are patched, so small tables split, and the split point is moved to
-    each end and the middle; the bytes must equal those of one process."""
+    """A table of at least ``tables._SPLIT_ROWS`` rows, where two CPUs are
+    granted, is rendered on two processes: a forked child renders the rows
+    from the split point on.  Here the split point is moved to each end
+    and the middle of small tables, the list tables among them, and the
+    bytes must equal those of one process."""
 
     TABLES = [
         ("pmf", "--n", "4", "--p", "2/3"),
@@ -288,6 +316,9 @@ class TestTwoProcesses:
         ("cdf", "--n", "3", "--p", "1/2"),
         ("triangle", "--n", "4"),
         ("density", "--n", "3", "--p", "7/10"),
+        ("moments", "--n", "3", "--p", "3/7"),
+        ("decompose", "--n", "5"),
+        ("converge", "--n", "4", "--p", "1/4"),
     ]
 
     @pytest.mark.parametrize(
@@ -302,19 +333,13 @@ class TestTwoProcesses:
         assert one[0] == 0 and one[1]
         run_cli(capsys, *argv, "--output", str(target))
         one_file = target.read_bytes()
-        forks = split(choose)
+        count = len(_built_rows(cli.parse_config(list(argv))))
+        points = split(choose)
         assert run_cli(capsys, *argv) == one
         assert run_cli(capsys, *argv, "--output", str(target)) == (0, "", "")
         assert target.read_bytes() == one_file == one[1].encode()
-        assert len(forks) == 2
+        assert points == [choose(count)] * 2 and 0 < points[0] < count
         _no_child_left()
-
-    def test_list_tables_stay_on_one_process(self, capsys, split):
-        forks = split(lambda count: 1)
-        for argv in [("decompose", "--n", "5"), ("moments", "--n", "3", "--p", "3/7"),
-                     ("converge", "--n", "4", "--p", "1/4")]:
-            assert run_cli(capsys, *argv)[0] == 0
-        assert forks == []
 
     def test_split_rule(self, monkeypatch):
         monkeypatch.setattr(tables, "_SPLIT_ROWS", 100)
@@ -346,21 +371,18 @@ class TestTwoProcesses:
     def _rows_that(monkeypatch, parent=None, child=None):
         """Tables whose rows run ``parent`` before the first row this process
         renders and ``child`` before the first row the child renders."""
-        write = tables._write
 
-        def hooked_write(table, layout, handle, mid):
-            rows = table.rows
+        class Hooked(tables._Table):
+            def __init__(self, columns, count, rows):
+                def hooked(start, stop):
+                    hook = parent if start == 0 else child
+                    if hook is not None:
+                        hook()
+                    yield from rows(start, stop)
 
-            def hooked(start, stop):
-                hook = parent if start == 0 else child
-                if hook is not None:
-                    hook()
-                yield from rows(start, stop)
+                super().__init__(columns, count, hooked)
 
-            table.rows = hooked
-            write(table, layout, handle, mid)
-
-        monkeypatch.setattr(tables, "_write", hooked_write)
+        monkeypatch.setattr(tables, "_Table", Hooked)
 
     @pytest.mark.parametrize(
         "error, reason",
@@ -439,12 +461,12 @@ class TestBatches:
         one = run_cli(capsys, *argv)
         assert one[0] == 0 and one[1]
         monkeypatch.setattr(tables, "_BATCH_ROWS", batch)
-        forks = split(lambda count: count // 2) if two else []
+        points = split(lambda count: count // 2) if two else []
         target = tmp_path / "table"
         assert run_cli(capsys, *argv) == one
         assert run_cli(capsys, *argv, "--output", str(target)) == (0, "", "")
         assert target.read_bytes() == one[1].encode()
-        assert len(forks) == (2 if two else 0)
+        assert len(points) == (2 if two else 0)
         _no_child_left()
 
     @pytest.mark.parametrize("batch", [None, 1, 100])
@@ -1068,7 +1090,7 @@ class TestDigitLimit:
     def test_int_cell_of_a_list_table(self, capsys, digit_limit, format):
         # a scalar int cell is refused as a rational one is, not as a bare ValueError
         with pytest.raises(CapacityError) as refused:
-            cli.emit_table([{"denom": 10**4301}], format, "-")
+            cli.emit_table(tables._listed([{"denom": 10**4301}], format), format, "-")
         assert f"weaver: error: {refused.value}\n" == self.MESSAGE
         assert capsys.readouterr().out == ""
 
@@ -1123,6 +1145,15 @@ class TestFileOutput:
         )
         payload = json.loads(target.read_text())
         assert payload[2]["weaving"] == 21
+
+    def test_empty_table_is_refused(self, capsys, tmp_path):
+        # no command builds one; emit_table refuses it before opening the output
+        target = tmp_path / "table.csv"
+        empty = tables._Table([("k", False)], 0, lambda start, stop: iter(()))
+        with pytest.raises(WeaverError, match="^refusing to emit an empty table$"):
+            cli.emit_table(empty, "csv", str(target))
+        assert not target.exists()
+        assert capsys.readouterr().out == ""
 
 
 # argv grammar for the fuzz test: every flag of every command, each with

@@ -121,6 +121,35 @@ class TestParents:
         with pytest.raises(RangeError, match="scale and shift must be finite"):
             ParentDistribution("gaussian", (0.0, 1.0), **affine)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ParentDistribution("point-mass", (10**400,)),
+             "point-mass parameters must be finite, got (inf,)"),
+            (lambda: ParentDistribution("gaussian", (0, 10**400)),
+             "gaussian parameters must be finite, got (0.0, inf)"),
+            (lambda: ParentDistribution("uniform-interval", (0, 10**400)),
+             "uniform-interval parameters must be finite, got (0.0, inf)"),
+            (lambda: ParentDistribution("gaussian", (0.0, 1.0), scale=10**400),
+             "scale and shift must be finite, got inf and 0.0"),
+            (lambda: ParentDistribution("gaussian", (0.0, 1.0), shift=-(10**400)),
+             "scale and shift must be finite, got 1.0 and -inf"),
+            (lambda: point_mass(10**400), "point-mass parameters must be finite, got (inf,)"),
+            # the range check comes first
+            (lambda: bernoulli(10**400), "bernoulli parameter must lie in [0, 1], got inf"),
+        ],
+        ids=["point", "gauss", "uniform", "scale", "shift", "point_mass", "bernoulli"],
+    )
+    def test_int_past_binary64_is_a_range_error(self, build, message):
+        # float() of such an int raises OverflowError; it is read as an infinity
+        with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_values_are_stored_as_floats(self):
+        record = ParentDistribution("uniform-interval", (-1, 2), scale=3, shift=0)
+        assert record == uniform_interval(-1.0, 2.0)._replace(scale=3.0)
+        assert {type(value) for value in (*record.params, record.scale, record.shift)} == {float}
+
     def test_params_list_is_stored_as_a_tuple(self):
         params = [0.0, 1.0]
         from_list, from_tuple = ParentDistribution("gaussian", params), gaussian(0.0, 1.0)

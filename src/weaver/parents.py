@@ -7,7 +7,7 @@ standardizing transform stays inside the type; its mean and variance
 are closed forms, and every construction checks the family's parameter
 count and range.  The command line's spec syntax (``gauss:0,1``, and two
 specs joined by ``;``) is parsed here.  Nothing here needs numpy: every
-draw is a block sum of :mod:`weaver.sampler`, one sampler per family.
+draw is a sum of observations from :mod:`weaver.sampler`, one sampler per family.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ class ParentDistribution(_Checked, NamedTuple("ParentDistribution", [
 
     def draw(self, rng: Any, size: int) -> Any:
         """Draw ``size`` iid observations from a numpy Generator as a float64
-        array: the block sums of ``size`` (an int >= 0) blocks of one observation."""
+        array: ``size`` (an int >= 0) sums of one observation each."""
         _check_integer(size, 0, "size")
         import numpy as np
 

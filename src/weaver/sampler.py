@@ -2,37 +2,38 @@
 
 A run of depth n draws n independent Bernoulli(p) selections; selection
 j picks the population for block j, which holds 2**(j-1) iid
-observations, for 2**n - 1 observations in total.  The conditional mean
-given the selections is an exact rational and follows W(n, p); the
-unconditional sample mean adds the within-population noise on top.
+observations.  The selected blocks of leaf k hold k observations of the
+second parent and the others 2**n - 1 - k of the first, so a run is
+drawn as one sum of each.  The conditional mean k / (2**n - 1) follows
+W(n, p); the sample mean adds the within-population noise on top.
 
-Reproducibility contract (stream version 3): an ensemble takes one root
+Reproducibility contract (stream version 4): an ensemble takes one root
 seed and splits its replications into chunks of ``CHUNK``.  Chunk c
 draws from three streams, ``SeedSequence(entropy=seed, spawn_key=(c,
-purpose))``: purpose 0 holds the 128-bit path words, 1 and 2 the block
-sums of the first and second parent.  Each stream is read in
-(replication, block) order, so replication i is a pure function of
+purpose))``: purpose 0 holds the 128-bit path words, 1 and 2 the sums
+of the first and second parent, one cell per replication.  Each stream
+is read in replication order, so replication i is a pure function of
 (seed, i): a shorter ensemble is a prefix of a longer one, and chunks
 are independent of each other.  A caller that needs several ensembles
 from one seed extends the spawn key in front of c (``convergence_ks``
 keys each depth n as ``(n, c, purpose)``).  The single-run functions
 are replication 0 of the ensemble with their seed: ``draw_selection_path``
-reads chunk 0's path words, ``run_from_path`` reads chunk 0's block-sum
+reads chunk 0's path words, ``run_from_path`` reads chunk 0's parent
 streams for the path it is given, and ``run_exponential_sample`` is
 ``run_from_path(draw_selection_path(n, p, seed), h0, h1, seed)``.
 A seed is an int >= 0 and a replication count an int >= 1; a bool, a
 float or a numpy integer raises RangeError, as it does for a depth.
 
 This is the one module that imports numpy.  A parent population of
-:mod:`weaver.parents` is only a spec; every draw from it is a block sum
-here, from its family's one sampler (a single draw is a block of one).
-Each sampler draws a block's sum directly, not its observations, so no
-block costs more than 1023 draws whatever its size.  A uniform block of
-fewer than 2**10 observations adds up its raw draws, where they are
-cheaper; a larger one is 53 binomial counts, one per bit of a
-``Generator.random()`` double, with the law of the sum of its raw draws.
-Those counts come from a generator seeded by a 128-bit word that the
-parent's block-sum stream holds where the first such block falls.
+:mod:`weaver.parents` is only a spec; every draw from it is a sum of m
+observations here, from its family's one sampler (a single draw is a sum
+of one).  Each sampler draws the sum directly, not its observations, so
+no sum costs more than 1023 draws whatever its size, and a sum of none
+is 0.0.  A uniform sum of fewer than 2**10 observations adds up its raw
+draws, where they are cheaper; a larger one is 53 binomial counts, one
+per bit of a ``Generator.random()`` double, with the law of the sum of
+its raw draws.  Those counts come from a generator seeded by a 128-bit
+word that the parent's stream holds where the first such sum falls.
 """
 
 from __future__ import annotations
@@ -50,9 +51,9 @@ from weaver.parents import ParentDistribution
 
 #: Layout of the ensemble streams described above; realized samples
 #: change whenever it does.
-STREAM_VERSION = 3
+STREAM_VERSION = 4
 
-#: Replications per chunk of an ensemble.  A chunk's arrays are a few
+#: Replications per chunk of an ensemble.  A chunk's path words are a few
 #: hundred KiB at the raw draw cap, so memory stays flat in the count.
 CHUNK = 1024
 
@@ -62,10 +63,10 @@ RAW_DRAW_CAP = 30
 #: Selection paths alone need only n Bernoullis.
 PATH_ONLY_CAP = 63
 
-# uniform blocks of at least this many draws cost 53 binomial bit counts;
+# uniform sums of at least this many draws cost 53 binomial bit counts;
 # smaller ones, where a raw draw is cheaper, add up their raw draws
 _BIT_COUNT_MIN = 1 << 10
-# uniform block sums draw the bit counts of this many cells per call, and
+# uniform sums draw the bit counts of this many cells per call, and
 # raw draws in calls of about this many doubles, so memory stays flat;
 # no value depends on either
 _UNIFORM_BATCH = 256
@@ -77,11 +78,12 @@ _PATH_WORDS, _H0_SUMS, _H1_SUMS = 0, 1, 2
 
 
 class SampleRun(NamedTuple):
-    """One realization: the path, the block sums, and the derived means."""
+    """One realization: the path, the sums of its h0 and h1 observations
+    (``parent_sums``, in that order), their total, and the derived means."""
 
     n: int
     path: SelectionPath
-    block_sums: tuple[float, ...]
+    parent_sums: tuple[float, float]
     total: float
     mean: float
     conditional_mean: Fraction
@@ -169,14 +171,17 @@ def _check_run(n: int, h0: ParentDistribution, h1: ParentDistribution) -> None:
 def _raw_sums(rng: np.random.Generator, sizes: np.ndarray) -> np.ndarray:
     # sums of sizes[i] consecutive rng.random() draws, cell after cell; a
     # new call starts at the first cell to start at or past each multiple
-    # of _RAW_BATCH draws
+    # of _RAW_BATCH draws.  An empty cell is 0.0 and reads nothing: it is
+    # left out first, as reduceat would give it its neighbour's draw
+    totals = np.zeros(len(sizes))
+    cells = np.flatnonzero(sizes)
+    sizes = sizes[cells]
     starts = np.cumsum(sizes) - sizes
     cuts = np.searchsorted(starts, range(0, int(sizes.sum()), _RAW_BATCH)).tolist()
-    totals = np.empty(len(sizes))
     for lo, hi in zip(cuts, [*cuts[1:], len(sizes)]):
         if lo < hi:
             draws = rng.random(int(sizes[lo:hi].sum()))
-            totals[lo:hi] = np.add.reduceat(draws, starts[lo:hi] - starts[lo])
+            totals[cells[lo:hi]] = np.add.reduceat(draws, starts[lo:hi] - starts[lo])
     return totals
 
 
@@ -189,14 +194,14 @@ def _bit_count_sums(rng: np.random.Generator, sizes: np.ndarray) -> np.ndarray:
     ``C_b ~ Binomial(m, 1/2)``.  The counts are read in (cell, bit) order,
     ``_UNIFORM_BATCH`` cells per call.  The integer sum is split into two
     exact doubles, so each total is the exact sum rounded once (the split
-    is exact for m <= 2**29, the largest block under the raw draw cap).
+    is exact for m < 2**30, every sum under the raw draw cap).
     """
     totals = np.empty(len(sizes))
     for at in range(0, len(sizes), _UNIFORM_BATCH):
         cells = sizes[at : at + _UNIFORM_BATCH]
         counts = rng.binomial(cells[:, None], 0.5, size=(len(cells), 53))
-        low = (counts[:, :30] << _SHIFTS).sum(axis=1)  # bits 0..29, < 2**59
-        high = (counts[:, 30:] << _SHIFTS[:23]).sum(axis=1)  # bits 30..52, < 2**52
+        low = (counts[:, :30] << _SHIFTS).sum(axis=1)  # bits 0..29, < 2**60
+        high = (counts[:, 30:] << _SHIFTS[:23]).sum(axis=1)  # bits 30..52, < 2**53
         # sum = whole * 2**-23 + part * 2**-53, with whole < 2**53 and part < 2**30
         whole, part = high + (low >> 30), low & ((1 << 30) - 1)
         totals[at : at + len(cells)] = whole * 2.0**-23 + part * 2.0**-53
@@ -207,10 +212,10 @@ def _uniform_totals(rng: np.random.Generator, sizes: np.ndarray) -> np.ndarray:
     """Sums of ``sizes[i]`` uniforms on [0, 1), cell after cell, each with
     the law of that many ``rng.random()`` draws.
 
-    A block of fewer than ``_BIT_COUNT_MIN`` draws adds up its raw draws
+    A sum of fewer than ``_BIT_COUNT_MIN`` draws adds up its raw draws
     from ``rng``; a larger one is 53 bit counts (``_bit_count_sums``) from
     a generator seeded by a 128-bit word of ``rng``, read where the first
-    such block falls.  Both streams are read in cell order, so a prefix of
+    such sum falls.  Both streams are read in cell order, so a prefix of
     the cells sums to the same values whatever follows it.
     """
     counted = sizes >= _BIT_COUNT_MIN
@@ -229,10 +234,10 @@ def _uniform_totals(rng: np.random.Generator, sizes: np.ndarray) -> np.ndarray:
 # (rng, sizes, *params), it returns for each entry m of sizes the sum of
 # m observations drawn from its sufficient statistic (m*c, a binomial
 # count, a Gaussian with mean m*mu and spread sqrt(m)*sigma; a uniform
-# adds up raw draws, or draws 53 binomial bit counts for a block of 2**10
-# or more), so no block costs more than 1023 draws whatever its size.
-# Cells consume the stream in order, so the sums of a prefix of sizes do
-# not depend on what follows it.
+# adds up raw draws, or draws 53 binomial bit counts for a sum of 2**10
+# or more), so no sum costs more than 1023 draws whatever its size, and a
+# sum of none is 0.0.  Cells consume the stream in order, so the sums of
+# a prefix of sizes do not depend on what follows it.
 _BLOCK_SUMS: dict[str, Callable[..., np.ndarray]] = {
     "point-mass": lambda rng, sizes, c: sizes * c,
     "bernoulli": lambda rng, sizes, q: rng.binomial(sizes, q).astype(np.float64),
@@ -248,59 +253,49 @@ _BLOCK_SUMS: dict[str, Callable[..., np.ndarray]] = {
 def _parent_sums(
     parent: ParentDistribution, rng: np.random.Generator, sizes: np.ndarray
 ) -> np.ndarray:
-    """For each block size m in ``sizes``, the sum of m iid observations
-    of ``parent``: its family's block sums, under its affine map."""
+    """For each size m in ``sizes``, the sum of m iid observations of
+    ``parent``: its family's sums, under its affine map."""
     base = _BLOCK_SUMS[parent.family](rng, sizes, *parent.params)
     return base * parent.scale + sizes * parent.shift
 
 
-def _block_sums(
-    selected: np.ndarray,
+def _leaf_sums(
+    ks: np.ndarray,
+    n: int,
     h0: ParentDistribution,
     h1: ParentDistribution,
     seed: int,
     key: tuple[int, ...],
     chunk: int,
-) -> np.ndarray:
-    """Block sums for chunk ``chunk``'s (count, n) grid of selections.
-
-    Cell (r, j) sums 2**j observations of the parent its selection picks.
-    Each parent draws for its own cells, in (replication, block) order,
-    from its own stream of the chunk.
-    """
-    sizes = np.broadcast_to(1 << np.arange(selected.shape[1], dtype=np.int64), selected.shape)
-    sums = np.empty(selected.shape)
-    for cells, parent, purpose in ((~selected, h0, _H0_SUMS), (selected, h1, _H1_SUMS)):
-        sums[cells] = _parent_sums(parent, _stream(seed, key, chunk, purpose), sizes[cells])
-    return sums
-
-
-def _totals(sums: np.ndarray) -> np.ndarray:
-    # block by block, so a run's total does not depend on its chunk's size
-    totals = np.zeros(len(sums))
-    for column in sums.T:
-        totals += column
-    return totals
+) -> tuple[np.ndarray, np.ndarray]:
+    """h0's and h1's sums for the leaf indices ``ks`` of chunk ``chunk``:
+    2**n - 1 - k observations of h0 and k of h1 per replication, one cell
+    each from the parent's own stream of the chunk."""
+    sizes = ks.astype(np.int64)
+    return (
+        _parent_sums(h0, _stream(seed, key, chunk, _H0_SUMS), (1 << n) - 1 - sizes),
+        _parent_sums(h1, _stream(seed, key, chunk, _H1_SUMS), sizes),
+    )
 
 
 def run_from_path(
     path: SelectionPath, h0: ParentDistribution, h1: ParentDistribution, seed: int
 ) -> SampleRun:
-    """Draw the block observations for a fixed selection path.
+    """Draw the observations for a fixed selection path.
 
-    The block sums come from chunk 0's block-sum streams of ``seed``, so
-    ``run_from_path(run.path, h0, h1, seed)`` reproduces the run that
-    ``run_exponential_sample`` draws with that seed.
+    The two parent sums come from chunk 0's parent streams of
+    ``seed``, so ``run_from_path(run.path, h0, h1, seed)`` reproduces the
+    run that ``run_exponential_sample`` draws with that seed.
     """
     _check_run(path.n, h0, h1)
-    selected = np.array([path.bits[::-1]], dtype=bool)  # block order
-    sums = _block_sums(selected, h0, h1, seed, (), 0)
-    total = float(_totals(sums)[0])
+    sums = _leaf_sums(np.array([path.k]), path.n, h0, h1, seed, (), 0)
+    s0, s1 = (float(cells[0]) for cells in sums)
+    total = s0 + s1
     denominator = (1 << path.n) - 1
     return SampleRun(
         n=path.n,
         path=path,
-        block_sums=tuple(sums[0].tolist()),
+        parent_sums=(s0, s1),
         total=total,
         mean=total / denominator,
         conditional_mean=Fraction(path.k, denominator),
@@ -314,7 +309,7 @@ def run_exponential_sample(
     p: Fraction | str | float,
     seed: int,
 ) -> SampleRun:
-    """One full run: draw a path, then 2**(j-1) observations per block j.
+    """One full run: draw a path, then the observations of its blocks.
 
     Parents must already be standardized (means exactly 0 and 1).  The
     path is checked and drawn before the parents are checked.
@@ -329,14 +324,13 @@ def _chunks(
     seed: int,
     key: tuple[int, ...],
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """The ensemble chunk by chunk: the chunk's index and its boolean
-    (count, n) selection grid (column j for block j + 1)."""
+    """The ensemble chunk by chunk: the chunk's index and its leaf indices."""
     _check_integer(replications, 1, "replications")
     threshold = _path_threshold(n, p)
     for chunk, start in enumerate(range(0, replications, CHUNK)):
         count = min(CHUNK, replications - start)
         words = _draw_words(_stream(seed, key, chunk, _PATH_WORDS), (count, n))
-        yield chunk, _selection_bits(words, threshold)
+        yield chunk, _leaf_indices(_selection_bits(words, threshold))
 
 
 def simulate_mean_ensemble(
@@ -359,8 +353,8 @@ def simulate_mean_ensemble(
         _check_integer(entry, 0, "key entry")
     denominator = (1 << n) - 1
     return np.concatenate([
-        _totals(_block_sums(selected, h0, h1, seed, key, chunk)) / denominator
-        for chunk, selected in _chunks(n, p, replications, seed, key)
+        np.add(*_leaf_sums(ks, n, h0, h1, seed, key, chunk)) / denominator
+        for chunk, ks in _chunks(n, p, replications, seed, key)
     ])
 
 
@@ -374,9 +368,7 @@ def path_ensemble(
     divided by 2**n - 1.  These are the paths of the ensembles with the
     same seed.
     """
-    return np.concatenate(
-        [_leaf_indices(selected) for _, selected in _chunks(n, p, replications, seed, ())]
-    )
+    return np.concatenate([ks for _, ks in _chunks(n, p, replications, seed, ())])
 
 
 def monte_carlo_moments(

@@ -1332,23 +1332,26 @@ class TestSecondDepthDigests:
 
 class TestSampleDigests:
     """SHA-256 of the ``sample`` CSV for the point, gauss, bernoulli and
-    uniform parent pairs.  The first four were captured at commit 026689d;
-    the depth-10 uniform run has no block of 2**10 observations, so it
-    still adds up raw draws.  The depth-12 one, captured at stream version
-    3, also draws its blocks of 2**10 and 2**11 as 53 binomial bit counts;
-    neither batch size changes a byte."""
+    uniform parent pairs.  The point and depth-10 uniform ones were
+    captured at commit 026689d and hold at stream version 4 too: point
+    masses read no draw, and a depth-10 uniform sum of at most 1023
+    observations adds up the same raw draws in the same order.  The
+    gauss, bernoulli and depth-12 ones were captured at stream version 4,
+    where a run draws one sum per parent; the depth-12 sums of 2**10 or
+    more are 53 binomial bit counts, and neither batch size changes a
+    byte."""
 
     DIGESTS = {
         "sample --n 6 --p 2/3 --parents point:0;point:1 --reps 2000 --seed 7":
             "c45787ca1fcb3da4ed3f51c8bd0868527fe3c206e9ced4cf22aa5af6240dc6fb",
         "sample --n 8 --p 2/3 --parents gauss:0,1;gauss:1,1 --reps 1500 --seed 7":
-            "055fd1f1ac83eb807792752f6b10b46f026394d89b481a5ff19175ca807bf902",
+            "e55308dd68e88eabef1e6cb81ba8234a888cfc4c8497277f2ca37a433c3e0b24",
         "sample --n 8 --p 2/3 --parents bernoulli:0.2;bernoulli:0.7 --reps 1500 --seed 7":
-            "f1cf9783de317c3e04d3163d08fa9efdb23c004ac8fd0c6a5e0f63b0ee3825d4",
+            "a6a10136d362cf32c4461ac0ff57dae7d17535088c00d6c15759ee488d5be031",
         "sample --n 10 --p 2/3 --parents uniform:0,1;uniform:1,2 --reps 1100 --seed 7":
             "a07c1116a2cbdfa3860c8563de808e6af0aedbd9c8e274cb66b1b4268a84b959",
         "sample --n 12 --p 2/3 --parents uniform:0,1;uniform:1,2 --reps 1100 --seed 7":
-            "a2b675e1b377c5f08e278a05a11d95b5bf0cf5facebb6de6575cb7592a4c5e61",
+            "94b479070b0520502c9a067daf0b8f5ca05ba323baba912a6ba8abef8e9490b4",
     }
 
     @pytest.mark.parametrize(

@@ -165,9 +165,9 @@ _RECORDS = [
      [{"scale": float("inf")}, {"shift": float("nan")}, {"params": (0.0, -1.0)},
       {"params": (0.0,)}, {"family": "cauchy"}]),
     (SampleRun,
-     {"n": 1, "path": SelectionPath(n=1, k=1), "block_sums": (1.0,), "total": 1.0, "mean": 1.0,
-      "conditional_mean": Fraction(1)},
-     "SampleRun(n=1, path=SelectionPath(n=1, k=1), block_sums=(1.0,), total=1.0, mean=1.0, "
+     {"n": 1, "path": SelectionPath(n=1, k=1), "parent_sums": (0.0, 1.0), "total": 1.0,
+      "mean": 1.0, "conditional_mean": Fraction(1)},
+     "SampleRun(n=1, path=SelectionPath(n=1, k=1), parent_sums=(0.0, 1.0), total=1.0, mean=1.0, "
      "conditional_mean=Fraction(1, 1))", []),
     (MomentReport,
      {"replications": 100, "empirical_mean": 0.5, "empirical_variance": 0.25,

@@ -1,9 +1,7 @@
 """Parent populations, path sampling, full runs, and Monte Carlo reports."""
 
-import functools
 import hashlib
 import math
-import operator
 import re
 from collections import Counter
 from fractions import Fraction
@@ -49,10 +47,11 @@ PAIRS = {
 
 
 def numpy_draw(parent, rng, size):
-    """``size`` observations of a point, uniform or Gaussian ``parent``,
-    drawn by numpy directly and put through the parent's affine map."""
+    """``size`` observations of ``parent``, drawn by numpy directly and put
+    through the parent's affine map."""
     direct = {
         "point-mass": lambda c: np.full(size, c),
+        "bernoulli": lambda q: (rng.random(size) < q).astype(np.float64),
         "uniform-interval": lambda a, b: rng.uniform(a, b, size),
         "gaussian": lambda mu, var: rng.normal(mu, math.sqrt(var), size),
     }
@@ -323,17 +322,56 @@ class TestRuns:
         assert run.mean == pytest.approx(float(run.conditional_mean))
         assert run.conditional_mean == Fraction(run.path.k, 63)
 
-    def test_block_sizes_double(self):
-        run = sampler.run_exponential_sample(5, *STANDARD, Fraction(1, 2), 3)
-        bits = run.path.bits[::-1]
-        for j, (bit, block_sum) in enumerate(zip(bits, run.block_sums), start=1):
-            assert block_sum == bit * (1 << (j - 1))
+    @staticmethod
+    def record_parent_sums(monkeypatch):
+        """Wrap ``sampler._parent_sums``; returns the list of (parent,
+        sizes) that each call asked for, in call order."""
+        calls, parent_sums = [], sampler._parent_sums
 
-    def test_block_order_is_chronological(self):
-        # bit j-1 of the leaf index drives block j of size 2**(j-1)
-        path = SelectionPath(n=4, k=0b0101)
-        run = sampler.run_from_path(path, *STANDARD, 0)
-        assert run.block_sums == (1.0, 0.0, 4.0, 0.0)
+        def recording(parent, rng, sizes):
+            calls.append((parent, sizes.tolist()))
+            return parent_sums(parent, rng, sizes)
+
+        monkeypatch.setattr(sampler, "_parent_sums", recording)
+        return calls
+
+    def test_ensemble_asks_each_parent_for_its_leaf_count(self, monkeypatch):
+        # per chunk, h0 draws 2**n - 1 - k observations and h1 draws k, one
+        # cell per replication, in the order of the ensemble's paths
+        n, reps = 5, sampler.CHUNK + 40
+        h0, h1 = PAIRS["gauss"]
+        calls = self.record_parent_sums(monkeypatch)
+        sampler.simulate_mean_ensemble(n, h0, h1, "2/5", reps, seed=3)
+        ks = sampler.path_ensemble(n, "2/5", reps, seed=3).astype(np.int64).tolist()
+        assert [parent for parent, _ in calls] == [h0, h1, h0, h1]
+        assert [len(sizes) for _, sizes in calls] == [sampler.CHUNK] * 2 + [40] * 2
+        assert calls[0][1] + calls[2][1] == [(1 << n) - 1 - k for k in ks]
+        assert calls[1][1] + calls[3][1] == ks
+
+    @pytest.mark.parametrize("k", range(32))
+    def test_run_asks_each_parent_for_its_leaf_count(self, monkeypatch, k):
+        h0, h1 = STANDARD
+        calls = self.record_parent_sums(monkeypatch)
+        run = sampler.run_from_path(SelectionPath(5, k), h0, h1, seed=4)
+        assert calls == [(h0, [31 - k]), (h1, [k])]
+        assert run.parent_sums == (0.0, float(k))
+        assert run.total == run.parent_sums[0] + run.parent_sums[1]
+
+    @pytest.mark.parametrize(
+        ("pair", "n"),
+        [*((pair, 6) for pair in sorted(PAIRS)), ("uniform", 10), ("uniform", 12)],
+        ids=[*sorted(PAIRS), "uniform-10", "uniform-12"],
+    )
+    def test_empty_parent_sum_is_zero(self, pair, n):
+        # leaf 0 draws no h1 observation and leaf 2**n - 1 no h0 one; the
+        # other sum holds all of them (raw draws at n = 10, counted at 12)
+        h0, h1 = PAIRS[pair]
+        top = (1 << n) - 1
+        for k, empty in ((0, 1), (top, 0)):
+            run = sampler.run_from_path(SelectionPath(n, k), h0, h1, seed=5)
+            assert run.parent_sums[empty] == 0.0
+            assert run.total == run.parent_sums[1 - empty]
+            assert math.isfinite(run.total)
 
     @pytest.mark.parametrize(
         ("pair", "n"),
@@ -342,9 +380,8 @@ class TestRuns:
     )
     @pytest.mark.parametrize("seed", [0, 11])
     def test_single_runs_are_replication_zero(self, pair, n, seed):
-        # one stream contract: a single run is replication 0 of its ensembles.
-        # At n = 18 a uniform run draws 2**18 - 1 values, more than one slab,
-        # so it takes two spans when two CPUs are free.
+        # one stream contract: a single run is replication 0 of its ensembles,
+        # and its total adds its two parent sums as the ensemble's does
         h0, h1 = PAIRS[pair]
         p = Fraction(2, 5)
         run = sampler.run_exponential_sample(n, h0, h1, p, seed)
@@ -352,8 +389,7 @@ class TestRuns:
             assert run.path.k == sampler.path_ensemble(n, p, replications, seed)[0]
             means = sampler.simulate_mean_ensemble(n, h0, h1, p, replications, seed)
             assert run.mean == means[0]
-        # left to right, as _totals adds; sum() compensates from Python 3.12
-        assert run.total == functools.reduce(operator.add, run.block_sums)
+        assert run.total == run.parent_sums[0] + run.parent_sums[1]
         assert sampler.draw_selection_path(n, p, seed) == run.path
         assert sampler.run_from_path(run.path, h0, h1, seed) == run
 
@@ -380,13 +416,6 @@ class TestRuns:
         path = SelectionPath(n=40, k=5)
         with pytest.raises(CapacityError):
             sampler.run_from_path(path, *STANDARD, 0)
-
-    def test_gaussian_noise_spreads_block_sums(self):
-        h0, h1 = gaussian(0.0, 1.0), gaussian(1.0, 1.0)
-        run = sampler.run_exponential_sample(8, h0, h1, Fraction(1, 2), 13)
-        assert run.total not in (float(k) for k in range(256))
-        assert run.total == pytest.approx(sum(run.block_sums))
-        assert run.mean == pytest.approx(run.total / 255)
 
 
 class TestMonteCarlo:
@@ -507,6 +536,55 @@ class TestMonteCarlo:
                 Fraction(1, 2), *STANDARD, depths=(2,), resolution=resolution,
                 replications=100, seed=0,
             )
+
+
+def block_oracle_means(n, h0, h1, p, replications, rng):
+    """Sample means by the per-block construction, drawn by numpy
+    directly: for each replication, n Bernoulli(p) selections, then
+    2**j observations in block j of the parent its selection picks."""
+    means = np.empty(replications)
+    for r in range(replications):
+        picks = rng.random(n) < float(p)
+        blocks = [numpy_draw(h1 if pick else h0, rng, 1 << j).sum() for j, pick in enumerate(picks)]
+        means[r] = math.fsum(blocks) / ((1 << n) - 1)
+    return means
+
+
+class TestAgainstBlockOracle:
+    """The two parent sums of a leaf have the law of its 2**n - 1 block
+    observations: the sampler's means against the per-block oracle's.
+    Seeds and thresholds are fixed in advance: investigate a failure, do
+    not re-seed it."""
+
+    REPS = 4000
+
+    @staticmethod
+    def z_scores(means, report):
+        # of the mean and the variance, against their exact values; the
+        # variance's standard error takes the sample's 4th central moment
+        reps = len(means)
+        centered = means - np.mean(means)
+        mu4 = np.mean(centered**4)
+        z_mean = (np.mean(means) - float(report.exact_mean)) / report.standard_error
+        z_var = (np.var(means, ddof=1) - report.exact_variance) / math.sqrt(
+            (mu4 - report.exact_variance**2) / reps
+        )
+        return z_mean, z_var
+
+    @pytest.mark.parametrize(
+        ("pair", "n"),
+        [*((pair, 6) for pair in sorted(PAIRS)), ("uniform", 12)],
+        ids=[*sorted(PAIRS), "uniform-12"],
+    )
+    def test_sampler_matches_block_oracle(self, pair, n):
+        h0, h1 = PAIRS[pair]
+        p = Fraction(2, 5)
+        means = sampler.simulate_mean_ensemble(n, h0, h1, p, self.REPS, seed=29)
+        report = sampler.monte_carlo_moments(n, h0, h1, p, self.REPS, seed=29)
+        oracle = block_oracle_means(n, h0, h1, p, self.REPS, np.random.default_rng(31))
+        assert scipy.stats.ks_2samp(means, oracle).pvalue > 0.001
+        for sample in (means, oracle):
+            assert max(map(abs, self.z_scores(sample, report))) < 4
 
 
 class TestChunkedStreams:
@@ -644,6 +722,24 @@ class TestUniformBitCounts:
             assert total == float(exact)
         assert rng.bit_generator.state == oracle.bit_generator.state
 
+    @pytest.mark.parametrize("batch", [3, 1 << 14])
+    @pytest.mark.parametrize(
+        "sizes",
+        [[0, 3, 5], [3, 0, 5], [3, 5, 0], [0], [0, 0, 0], [2, 0, 2], [7, 0, 1 << 12, 0, 2, 0]],
+        ids=["leading", "interior", "trailing", "one", "all", "between", "beside-counted"],
+    )
+    def test_empty_cells_sum_to_zero_and_read_nothing(self, monkeypatch, sizes, batch):
+        # an empty cell is 0.0; the others, and where the stream ends, are
+        # those of the same call without it, across raw batch boundaries too
+        monkeypatch.setattr(sampler, "_RAW_BATCH", batch)
+        sizes = np.array(sizes, dtype=np.int64)
+        filled = sizes > 0
+        rng, without = np.random.default_rng(8), np.random.default_rng(8)
+        totals = sampler._uniform_totals(rng, sizes)
+        assert totals[~filled].tolist() == [0.0] * int((~filled).sum())
+        assert np.array_equal(totals[filled], sampler._uniform_totals(without, sizes[filled]))
+        assert rng.bit_generator.state == without.bit_generator.state
+
     def test_small_blocks_read_no_seed_word(self):
         # below the first large block the stream holds raw draws alone
         sizes = np.array([3, 1, sampler._BIT_COUNT_MIN - 1] * 5, dtype=np.int64)
@@ -654,12 +750,14 @@ class TestUniformBitCounts:
         assert rng.random() == np.random.default_rng(4).random(int(sizes.sum()) + 1)[-1]
 
     @pytest.mark.parametrize(
-        "m", [1, 3, 1 << 16, (1 << (sampler.RAW_DRAW_CAP - 1)) - 1, 1 << (sampler.RAW_DRAW_CAP - 1)]
+        "m",
+        [1, 3, 1 << 16, (1 << (sampler.RAW_DRAW_CAP - 1)) - 1, 1 << (sampler.RAW_DRAW_CAP - 1),
+         (1 << sampler.RAW_DRAW_CAP) - 1],
     )
     def test_largest_counts_round_once(self, m):
-        # every count at its largest, m, up to the largest block under the
-        # raw draw cap: the sum m * (1 - 2**-53), rounded once, no overflow.
-        # A higher cap fails here until the two-part split widens
+        # every count at its largest, m, up to the largest sum under the raw
+        # draw cap, 2**cap - 1: the sum m * (1 - 2**-53), rounded once, no
+        # overflow.  A higher cap fails here until the two-part split widens
         class Full:
             def binomial(self, n, p, size):
                 return np.broadcast_to(n, size).copy()

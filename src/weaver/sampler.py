@@ -13,14 +13,13 @@ draws from three streams, ``SeedSequence(entropy=seed, spawn_key=(c,
 purpose))``: purpose 0 holds the 128-bit path words, 1 and 2 the sums
 of the first and second parent, one cell per replication.  Each stream
 is read in replication order, so replication i is a pure function of
-(seed, i): a shorter ensemble is a prefix of a longer one, and chunks
-are independent of each other.  A caller that needs several ensembles
-from one seed extends the spawn key in front of c (``convergence_ks``
-keys each depth n as ``(n, c, purpose)``).  The single-run functions
-are replication 0 of the ensemble with their seed: ``draw_selection_path``
-reads chunk 0's path words, ``run_from_path`` reads chunk 0's parent
-streams for the path it is given, and ``run_exponential_sample`` is
-``run_from_path(draw_selection_path(n, p, seed), h0, h1, seed)``.
+(seed, i): one seed gives one ensemble, a shorter ensemble is a prefix
+of a longer one, and chunks are independent of each other.  The
+single-run functions are replication 0 of the ensemble with their seed:
+``draw_selection_path`` reads chunk 0's path words, ``run_from_path``
+reads chunk 0's parent streams for the path it is given, and
+``run_exponential_sample`` is ``run_from_path(draw_selection_path(n, p,
+seed), h0, h1, seed)``.
 A seed is an int >= 0 and a replication count an int >= 1; a bool, a
 float or a numpy integer raises RangeError, as it does for a depth.
 
@@ -46,7 +45,7 @@ import numpy as np
 
 from weaver import analysis
 from weaver.errors import CapacityError, RangeError
-from weaver.exact import SelectionPath, WeaverParams, _check_integer, _check_probability, cdf_grid
+from weaver.exact import SelectionPath, WeaverParams, _check_integer, _check_probability
 from weaver.parents import ParentDistribution
 
 #: Layout of the ensemble streams described above; realized samples
@@ -57,7 +56,8 @@ STREAM_VERSION = 4
 #: hundred KiB at the raw draw cap, so memory stays flat in the count.
 CHUNK = 1024
 
-#: Full runs draw 2**n - 1 observations; this is the desk-scale ceiling.
+#: Deepest full run: a run draws two sums at any depth, and the cap keeps
+#: each below 2**30 observations, where ``_bit_count_sums`` is exact.
 RAW_DRAW_CAP = 30
 
 #: Selection paths alone need only n Bernoullis.
@@ -101,11 +101,9 @@ class MomentReport(NamedTuple):
     z_score: float
 
 
-def _stream(seed: int, key: tuple[int, ...], chunk: int, purpose: int) -> np.random.Generator:
+def _stream(seed: int, chunk: int, purpose: int) -> np.random.Generator:
     _check_integer(seed, 0, "seed")
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(*key, chunk, purpose))
-    )
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk, purpose)))
 
 
 def _selection_threshold(p: Fraction) -> int:
@@ -265,7 +263,6 @@ def _leaf_sums(
     h0: ParentDistribution,
     h1: ParentDistribution,
     seed: int,
-    key: tuple[int, ...],
     chunk: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """h0's and h1's sums for the leaf indices ``ks`` of chunk ``chunk``:
@@ -273,8 +270,8 @@ def _leaf_sums(
     each from the parent's own stream of the chunk."""
     sizes = ks.astype(np.int64)
     return (
-        _parent_sums(h0, _stream(seed, key, chunk, _H0_SUMS), (1 << n) - 1 - sizes),
-        _parent_sums(h1, _stream(seed, key, chunk, _H1_SUMS), sizes),
+        _parent_sums(h0, _stream(seed, chunk, _H0_SUMS), (1 << n) - 1 - sizes),
+        _parent_sums(h1, _stream(seed, chunk, _H1_SUMS), sizes),
     )
 
 
@@ -288,7 +285,7 @@ def run_from_path(
     run that ``run_exponential_sample`` draws with that seed.
     """
     _check_run(path.n, h0, h1)
-    sums = _leaf_sums(np.array([path.k]), path.n, h0, h1, seed, (), 0)
+    sums = _leaf_sums(np.array([path.k]), path.n, h0, h1, seed, 0)
     s0, s1 = (float(cells[0]) for cells in sums)
     total = s0 + s1
     denominator = (1 << path.n) - 1
@@ -318,18 +315,14 @@ def run_exponential_sample(
 
 
 def _chunks(
-    n: int,
-    p: Fraction | str | float,
-    replications: int,
-    seed: int,
-    key: tuple[int, ...],
+    n: int, p: Fraction | str | float, replications: int, seed: int
 ) -> Iterator[tuple[int, np.ndarray]]:
     """The ensemble chunk by chunk: the chunk's index and its leaf indices."""
     _check_integer(replications, 1, "replications")
     threshold = _path_threshold(n, p)
     for chunk, start in enumerate(range(0, replications, CHUNK)):
         count = min(CHUNK, replications - start)
-        words = _draw_words(_stream(seed, key, chunk, _PATH_WORDS), (count, n))
+        words = _draw_words(_stream(seed, chunk, _PATH_WORDS), (count, n))
         yield chunk, _leaf_indices(_selection_bits(words, threshold))
 
 
@@ -340,21 +333,15 @@ def simulate_mean_ensemble(
     p: Fraction | str | float,
     replications: int,
     seed: int,
-    *,
-    key: tuple[int, ...] = (),
 ) -> np.ndarray:
-    """Sample means of ``replications`` independent runs, in stream order.
-
-    ``key`` is prepended to each chunk's spawn key, so one seed can carry
-    several independent ensembles (``convergence_ks`` keys by depth).
-    """
+    """Sample means of ``replications`` independent runs, in stream order:
+    replication i is a pure function of (seed, i), so one seed gives one
+    ensemble, and a shorter one is a prefix of a longer one."""
     _check_run(n, h0, h1)
-    for entry in key:
-        _check_integer(entry, 0, "key entry")
     denominator = (1 << n) - 1
     return np.concatenate([
-        np.add(*_leaf_sums(ks, n, h0, h1, seed, key, chunk)) / denominator
-        for chunk, ks in _chunks(n, p, replications, seed, key)
+        np.add(*_leaf_sums(ks, n, h0, h1, seed, chunk)) / denominator
+        for chunk, ks in _chunks(n, p, replications, seed)
     ])
 
 
@@ -368,7 +355,7 @@ def path_ensemble(
     divided by 2**n - 1.  These are the paths of the ensembles with the
     same seed.
     """
-    return np.concatenate([ks for _, ks in _chunks(n, p, replications, seed, ())])
+    return np.concatenate([ks for _, ks in _chunks(n, p, replications, seed)])
 
 
 def monte_carlo_moments(
@@ -419,46 +406,3 @@ def monte_carlo_moments(
                 f"{name} is {value}: the parents' spread overflows binary64"
             )
     return report
-
-
-def convergence_ks(
-    p: Fraction | str | float,
-    h0: ParentDistribution,
-    h1: ParentDistribution,
-    depths: tuple[int, ...],
-    resolution: int,
-    replications: int,
-    seed: int,
-) -> list[tuple[int, float]]:
-    """Distance of the sample-mean distribution from its limit, per depth.
-
-    For each depth n, compares the empirical CDF of the sample mean at
-    the dyadic grid points k / 2**resolution against the exact stable
-    CDF values there (which coincide with the limit distribution's), and
-    reports the maximum absolute gap.  With noisy parents the gap
-    shrinks as the within-population term (2**n - 1)**-1 fades; with
-    point-mass parents the sample mean already has the exact law, so the
-    gap sits at the Monte Carlo floor of order replications**-1/2 at
-    every depth.  The resolution is at least 1 and bounded by the
-    materialization cap.  Depth n's ensemble is keyed by (seed, n), so no
-    two depths or seeds share a stream.
-    """
-    p = _check_probability(p)
-    _check_integer(resolution, 1, "grid resolution")
-    if any(d < resolution for d in depths):
-        raise RangeError(
-            f"every depth must be at least the grid resolution {resolution}"
-        )
-    grid_size = 1 << resolution
-    # stable under refinement: the grid is the same at every depth >= resolution
-    limit = WeaverParams(n=resolution, p=p)
-    sums, denominator = cdf_grid(limit, resolution)
-    # int true division rounds exactly as float(Fraction) does
-    exact = np.array([total / denominator for total in sums])[1:-1]
-    grid = np.arange(1, grid_size) / grid_size
-    out: list[tuple[int, float]] = []
-    for n in depths:
-        means = simulate_mean_ensemble(n, h0, h1, p, replications, seed, key=(n,))
-        empirical = np.searchsorted(np.sort(means), grid, side="left") / replications
-        out.append((n, float(np.max(np.abs(empirical - exact)))))
-    return out

@@ -166,11 +166,7 @@ BAD_COUNTS = (1.5, True, 0)
           for reps in BAD_COUNTS),
         *(partial(analysis.exact_moment, WeaverParams(n=3, p=Fraction(1, 3)), order)
           for order in BAD_COUNTS),
-        *(partial(sampler.convergence_ks, "1/2", *PARENTS, (4,), resolution, 10, 0)
-          for resolution in (2.5, True, 0)),
         *(partial(PARENTS[0].draw, np.random.default_rng(0), size) for size in BAD_SEEDS),
-        *(partial(sampler.simulate_mean_ensemble, 4, *PARENTS, "1/2", 10, 0, key=(entry,))
-          for entry in BAD_SEEDS),
     ],
     ids=[
         "WeaverParams-bool", "SelectionPath-bool", "triangle-bool", "decomposition-bool",
@@ -182,8 +178,7 @@ BAD_COUNTS = (1.5, True, 0)
             for call in (
                 "path_ensemble-seed", "path_ensemble-replications",
                 "simulate_mean_ensemble-seed", "simulate_mean_ensemble-replications",
-                "exact_moment-order", "convergence_ks-resolution", "draw-size",
-                "simulate_mean_ensemble-key",
+                "exact_moment-order", "draw-size",
             )
             for case in ("float", "bool", "below")
         ),
@@ -191,7 +186,7 @@ BAD_COUNTS = (1.5, True, 0)
 )
 def test_bad_depth_is_a_range_error(call):
     # rejected where it is given: a bool or a float is no depth, resolution,
-    # order, seed, count, draw size or key entry, nor is a value below its least
+    # order, seed, count or draw size, nor is a value below its least
     with pytest.raises(RangeError, match="must be an integer >= "):
         call()
 

@@ -301,7 +301,7 @@ class TestPublicSurface:
         },
         "sampler": {
             "CHUNK", "PATH_ONLY_CAP", "RAW_DRAW_CAP", "STREAM_VERSION",
-            "MomentReport", "SampleRun", "convergence_ks",
+            "MomentReport", "SampleRun",
             "draw_selection_path", "monte_carlo_moments", "path_ensemble",
             "run_exponential_sample", "run_from_path", "simulate_mean_ensemble",
         },

@@ -15,7 +15,10 @@ materialization cap; it carries a documented relative tolerance of 1e-12.
 Every integer argument of the package (depth, resolution, moment order,
 seed, replication count) is checked by :func:`_check_integer`: its type
 must be int itself, a bool or a float is refused, and so is a value below
-its least; p is read and checked by :func:`_check_probability` alone.
+its least.  A leaf index k and a grid point k / 2**m are plain ints too,
+checked the same way by :func:`_check_leaf_index` and :func:`_check_dyadic`
+against their ranges; p is read and checked by :func:`_check_probability`
+alone.
 """
 
 from __future__ import annotations
@@ -43,12 +46,12 @@ def _check_probability(value: Fraction | str | float | int) -> Fraction:
     (``"0.25"``); either parses exactly.  Floats are converted through
     their shortest decimal representation, never through their binary
     expansion, so ``0.1`` becomes exactly ``1/10``.  A bool, or a value of
-    any other type, is a TypeError.
+    any other type, is refused too.
     """
     if isinstance(value, bool):
-        raise TypeError("probability must be a Fraction, str, float, or int")
+        raise RangeError("probability must be a Fraction, str, float, or int")
     if not isinstance(value, (Fraction, str, float, int)):
-        raise TypeError(f"cannot interpret {value!r} as an exact probability")
+        raise RangeError(f"cannot interpret {value!r} as an exact probability")
     try:
         p = Fraction(float.__repr__(value) if isinstance(value, float) else value)
     except (ValueError, ZeroDivisionError):  # "abc", "1/0", nan, inf
@@ -84,43 +87,11 @@ class WeaverParams(_Checked, NamedTuple("WeaverParams", [("n", int), ("p", Fract
         return super().__new__(cls, n, _check_probability(p))
 
 
-class SelectionPath(_Checked, NamedTuple("SelectionPath", [("n", int), ("k", int)])):
-    """One vector of n binary selections, encoded as the integer k.
-
-    Bit j of ``k`` records the outcome of selection j+1 (the block of
-    size 2**j), so ``k = sum(b[j] << j)`` and the bit tuple reads
-    most-significant selection first.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, n: int, k: int) -> SelectionPath:
-        _check_integer(n, 1)
-        _check_leaf_index(k, n)
-        return super().__new__(cls, n, k)
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self.k >> j) & 1 for j in range(self.n - 1, -1, -1))
-
-
 class WeaverDist(NamedTuple):
     """W(n, p) together with its materialized pmf vector."""
 
     params: WeaverParams
     pmf: tuple[Fraction, ...]
-
-
-class DyadicPoint(_Checked, NamedTuple("DyadicPoint", [("k", int), ("n", int)])):
-    """The point k / 2**n of the dyadic grid at resolution n."""
-
-    __slots__ = ()
-
-    def __new__(cls, k: int, n: int) -> DyadicPoint:
-        _check_integer(n, 0, "resolution")
-        if type(k) is not int or not 0 <= k <= 1 << n:
-            raise RangeError(f"k must be an integer in [0, 2**{n}], got {k!r}")
-        return super().__new__(cls, k, n)
 
 
 def _check_integer(value: int, least: int, what: str = "depth") -> None:
@@ -133,6 +104,12 @@ def _check_leaf_index(k: int, n: int) -> None:
     # type, not isinstance: a bool is an int to isinstance, but no index
     if type(k) is not int or not 0 <= k < 1 << n:
         raise RangeError(f"leaf index must be an integer in [0, 2**{n} - 1], got {k!r}")
+
+
+def _check_dyadic(k: int, m: int) -> None:
+    _check_integer(m, 0, "resolution")
+    if type(k) is not int or not 0 <= k <= 1 << m:
+        raise RangeError(f"k must be an integer in [0, 2**{m}], got {k!r}")
 
 
 def _check_cap(n: int, what: str) -> None:
@@ -232,18 +209,20 @@ def _check_refinement(resolution: int, params: WeaverParams) -> None:
         )
 
 
-def cdf_at_dyadic(point: DyadicPoint, params: WeaverParams) -> Fraction:
-    """Distribution function of W(n, p) at the dyadic point k / 2**m.
+def cdf_at_dyadic(k: int, m: int, params: WeaverParams) -> Fraction:
+    """Mass of W(n, p) strictly below the dyadic point k / 2**m.
 
     Equals the total mass of the leaves with index j < k * 2**(n - m),
     computed in O(n) by walking the binary digits of that bound.  The
     value is stable under refinement: any params.n >= m returns the
-    identical rational.  Interior dyadic points carry no atom, so the
-    left and right limits agree there; the endpoint 1 returns the total
-    mass.
+    identical rational.  Interior dyadic points carry no atom, so there
+    it is the distribution function F_n, and at k = 2**m it is F_n(1) = 1.
+    At k = 0 it is 0, the limit law's F(0), not F_n(0) = (1 - p)**n, the
+    atom of leaf 0.
     """
-    _check_refinement(point.n, params)
-    bound = point.k << (params.n - point.n)
+    _check_dyadic(k, m)
+    _check_refinement(m, params)
+    bound = k << (params.n - m)
     if bound >= 1 << params.n:
         return Fraction(1)
     p = params.p
@@ -263,21 +242,20 @@ def cdf_at_dyadic(point: DyadicPoint, params: WeaverParams) -> Fraction:
 def cdf_grid(
     params: WeaverParams, resolution: int, start: int = 0
 ) -> tuple[Iterator[int], int]:
-    """Distribution function of W(n, p) at every point k / 2**m, m = resolution.
+    """:func:`cdf_at_dyadic` at every point k / 2**m, m = resolution: F_n
+    there, but 0 at k = 0, where F_n(0) is the atom (1 - p)**n of leaf 0.
 
     Returns the 2**m + 1 values, or those from k = ``start`` on, as
     integer numerators over their common denominator d**m (p = a/d), like
     :func:`_mass_numerators`.  The cdf is stable under refinement, so the
     grid is the running sum of the depth-m mass numerators, leaf k's
     indexed by ones(k), in O(2**m) integer adds, from its value at
-    ``start`` (:func:`_cdf_numerator`).  Entry k over the denominator
-    equals :func:`cdf_at_dyadic` at k / 2**m, which stays the O(n) point
-    query.
+    ``start`` (:func:`_cdf_numerator`).
 
     The sums come one at a time from an iterator, not as a list; every
     check, of ``start`` too, runs at this call, before the first one.
     """
-    DyadicPoint(start, resolution)  # checks the resolution, and the start as k in [0, 2**m]
+    _check_dyadic(start, resolution)
     _check_cap(resolution, "cdf grid")
     _check_refinement(resolution, params)
     numerators, denominator = _mass_numerators(params.p, resolution)

@@ -25,6 +25,8 @@ def _float(value: float) -> float:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+    except (TypeError, ValueError):  # None, "a", a list
+        raise RangeError(f"cannot interpret {value!r} as a float") from None
 
 
 # each base family: its parameter count, and over its params the closed-form
@@ -53,9 +55,9 @@ class ParentDistribution(_Checked, NamedTuple("ParentDistribution", [
     ``params`` are the natural parameters of the base family:
     point-mass ``(c,)``, bernoulli ``(q,)`` with q in [0, 1],
     uniform-interval ``(a, b)`` with a < b, gaussian ``(mean, variance)``
-    with variance >= 0; these, ``scale`` and ``shift`` must be finite in
-    binary64, or :class:`RangeError` is raised.  Each is stored as a float,
-    ``params`` as a tuple.
+    with variance >= 0; these, ``scale`` and ``shift`` must read as floats
+    finite in binary64, or :class:`RangeError` is raised.  Each is stored
+    as a float, ``params`` as a tuple.
     """
 
     __slots__ = ()

@@ -17,11 +17,11 @@ is read in replication order, so replication i is a pure function of
 of a longer one, and chunks are independent of each other.  The
 single-run functions are replication 0 of the ensemble with their seed:
 ``draw_selection_path`` reads chunk 0's path words, ``run_from_path``
-reads chunk 0's parent streams for the path it is given, and
-``run_exponential_sample`` is ``run_from_path(draw_selection_path(n, p,
-seed), h0, h1, seed)``.
-A seed is an int >= 0 and a replication count an int >= 1; a bool, a
-float or a numpy integer raises RangeError, as it does for a depth.
+reads chunk 0's parent streams for the leaf k it is given, and
+``run_exponential_sample`` is ``run_from_path(n, draw_selection_path(n,
+p, seed), h0, h1, seed)``.  A seed is an int >= 0, a replication count an
+int >= 1 and a leaf index an int in [0, 2**n - 1]; a bool, a float or a
+numpy integer raises RangeError, as it does for a depth.
 
 This is the one module that imports numpy.  A parent population of
 :mod:`weaver.parents` is only a spec; every draw from it is a sum of m
@@ -45,7 +45,7 @@ import numpy as np
 
 from weaver import analysis
 from weaver.errors import CapacityError, RangeError
-from weaver.exact import SelectionPath, WeaverParams, _check_integer, _check_probability
+from weaver.exact import WeaverParams, _check_integer, _check_leaf_index, _check_probability
 from weaver.parents import ParentDistribution
 
 #: Layout of the ensemble streams described above; realized samples
@@ -78,11 +78,11 @@ _PATH_WORDS, _H0_SUMS, _H1_SUMS = 0, 1, 2
 
 
 class SampleRun(NamedTuple):
-    """One realization: the path, the sums of its h0 and h1 observations
+    """One realization, of leaf k at depth n: its h0 and h1 sums
     (``parent_sums``, in that order), their total, and the derived means."""
 
     n: int
-    path: SelectionPath
+    k: int
     parent_sums: tuple[float, float]
     total: float
     mean: float
@@ -142,14 +142,15 @@ def _leaf_indices(selected: np.ndarray) -> np.ndarray:
     return (selected.astype(np.uint64) << shifts).sum(axis=-1, dtype=np.uint64)
 
 
-def draw_selection_path(n: int, p: Fraction | str | float, seed: int) -> SelectionPath:
-    """Draw n independent Bernoulli(p) selections, packed as a path.
+def draw_selection_path(n: int, p: Fraction | str | float, seed: int) -> int:
+    """Draw n independent Bernoulli(p) selections, packed as a leaf index k.
 
-    The path is replication 0 of ``path_ensemble(n, p, 1, seed)``.  Each
-    Bernoulli compares a fresh 128-bit uniform integer against the exact
-    threshold floor(p * 2**128), so dyadic p is sampled without any bias.
+    Bit j of k is selection j + 1, and k is replication 0 of
+    ``path_ensemble(n, p, 1, seed)``.  Each Bernoulli compares a fresh
+    128-bit uniform integer against the exact threshold floor(p * 2**128),
+    so dyadic p is sampled without any bias.
     """
-    return SelectionPath(n=n, k=int(path_ensemble(n, p, 1, seed)[0]))
+    return int(path_ensemble(n, p, 1, seed)[0])
 
 
 def _check_run(n: int, h0: ParentDistribution, h1: ParentDistribution) -> None:
@@ -276,26 +277,29 @@ def _leaf_sums(
 
 
 def run_from_path(
-    path: SelectionPath, h0: ParentDistribution, h1: ParentDistribution, seed: int
+    n: int, k: int, h0: ParentDistribution, h1: ParentDistribution, seed: int
 ) -> SampleRun:
-    """Draw the observations for a fixed selection path.
+    """Draw the observations for the fixed selection path of leaf k at depth n.
 
     The two parent sums come from chunk 0's parent streams of
-    ``seed``, so ``run_from_path(run.path, h0, h1, seed)`` reproduces the
-    run that ``run_exponential_sample`` draws with that seed.
+    ``seed``, so ``run_from_path(run.n, run.k, h0, h1, seed)`` reproduces
+    the run that ``run_exponential_sample`` draws with that seed.  The
+    depth and k are checked before the cap and the parents.
     """
-    _check_run(path.n, h0, h1)
-    sums = _leaf_sums(np.array([path.k]), path.n, h0, h1, seed, 0)
+    _check_integer(n, 1)
+    _check_leaf_index(k, n)
+    _check_run(n, h0, h1)
+    sums = _leaf_sums(np.array([k]), n, h0, h1, seed, 0)
     s0, s1 = (float(cells[0]) for cells in sums)
     total = s0 + s1
-    denominator = (1 << path.n) - 1
+    denominator = (1 << n) - 1
     return SampleRun(
-        n=path.n,
-        path=path,
+        n=n,
+        k=k,
         parent_sums=(s0, s1),
         total=total,
         mean=total / denominator,
-        conditional_mean=Fraction(path.k, denominator),
+        conditional_mean=Fraction(k, denominator),
     )
 
 
@@ -311,7 +315,7 @@ def run_exponential_sample(
     Parents must already be standardized (means exactly 0 and 1).  The
     path is checked and drawn before the parents are checked.
     """
-    return run_from_path(draw_selection_path(n, p, seed), h0, h1, seed)
+    return run_from_path(n, draw_selection_path(n, p, seed), h0, h1, seed)
 
 
 def _chunks(

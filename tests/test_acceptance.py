@@ -23,7 +23,6 @@ import scipy.stats
 
 from weaver import analysis, sampler
 from weaver.exact import (
-    DyadicPoint,
     WeaverParams,
     build_pmf_vector,
     cdf_at_dyadic,
@@ -132,9 +131,8 @@ def test_criterion_05_cdf_anchors_stable_under_refinement():
                 (7, 3, 1 - p**3),
             ]
             for k, m, value in anchors:
-                point = DyadicPoint(k=k, n=m)
                 for depth in (m, m + 3):
-                    assert cdf_at_dyadic(point, WeaverParams(n=depth, p=p)) == value
+                    assert cdf_at_dyadic(k, m, WeaverParams(n=depth, p=p)) == value
 
 
 def test_criterion_06_variance_ratio_limit_and_edge_divergence():

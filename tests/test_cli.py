@@ -92,7 +92,7 @@ def _cdf_oracle(args) -> list[dict[str, Any]]:
     params = WeaverParams(n=args.n, p=args.p)
     m = args.n if args.resolution is None else args.resolution
     return [
-        {"k": k, "v": Fraction(k, 1 << m), "F": exact.cdf_at_dyadic(exact.DyadicPoint(k, m), params)}
+        {"k": k, "v": Fraction(k, 1 << m), "F": exact.cdf_at_dyadic(k, m, params)}
         for k in range((1 << m) + 1)
     ]
 
@@ -273,7 +273,7 @@ class TestNoStoredRow:
         assert pmf == tuple(exact.pmf_point(k, params) for k in range(32))
         sums, denominator = exact.cdf_grid(params, 4)
         assert [Fraction(total, denominator) for total in sums] == [
-            exact.cdf_at_dyadic(exact.DyadicPoint(k, 4), params) for k in range(17)
+            exact.cdf_at_dyadic(k, 4, params) for k in range(17)
         ]
         assert analysis.exact_moment(params, 1) == params.p
         assert analysis.exact_moment(params, 2) == (

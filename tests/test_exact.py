@@ -14,8 +14,6 @@ from hypothesis import strategies as st
 from weaver import analysis, exact, sampler
 from weaver.errors import CapacityError, RangeError
 from weaver.exact import (
-    DyadicPoint,
-    SelectionPath,
     WeaverParams,
     build_pmf_vector,
     cdf_at_dyadic,
@@ -56,14 +54,16 @@ class TestAsExactProbability:
         assert exact._check_probability(0.3) == Fraction(3, 10)
         assert exact._check_probability(0.1) == Fraction(1, 10)
         assert WeaverParams(n=3, p=np.float64(0.3)).p == Fraction(3, 10)
-        with pytest.raises(TypeError, match="^cannot interpret "):
+        with pytest.raises(RangeError, match="^cannot interpret "):
             exact._check_probability(np.float32(0.3))
 
     def test_int_and_bool(self):
         # an int is read, then refused by its range; a bool is no probability
         with pytest.raises(RangeError, match=r"^p must lie strictly inside \(0, 1\), got 1$"):
             exact._check_probability(1)
-        with pytest.raises(TypeError, match="^probability must be a Fraction, str, float, or int$"):
+        with pytest.raises(
+            RangeError, match="^probability must be a Fraction, str, float, or int$"
+        ):
             exact._check_probability(True)
 
     def test_garbage_rejected(self):
@@ -101,40 +101,48 @@ class TestParams:
             analysis.pmodel_cell_masses(3, bad_p)
         assert str(params_error.value) == str(cells_error.value) == message
 
+    @pytest.mark.parametrize(
+        "bad_p, message",
+        [
+            (True, "probability must be a Fraction, str, float, or int"),
+            (None, "cannot interpret None as an exact probability"),
+            ([1], "cannot interpret [1] as an exact probability"),
+        ],
+        ids=["bool", "none", "list"],
+    )
+    def test_uninterpretable_p_is_a_range_error(self, bad_p, message):
+        # not a bare TypeError: every refusal of the library is a RangeError
+        with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
+            WeaverParams(n=3, p=bad_p)
 
-class TestSelectionPath:
-    def test_bits_round_trip(self):
-        path = SelectionPath(n=4, k=0b1011)
-        assert path.bits == (1, 0, 1, 1)
-        assert int("".join(map(str, path.bits)), 2) == path.k
 
-    def test_ones_zeros(self):
-        path = SelectionPath(n=5, k=0b10110)
-        assert path.k.bit_count() == 3
-        assert path.n - path.k.bit_count() == 2
-
-    def test_out_of_range_index(self):
-        with pytest.raises(RangeError):
-            SelectionPath(n=3, k=8)
+PARENTS = (point_mass(0.0), point_mass(1.0))
+THIRD = WeaverParams(n=3, p=Fraction(1, 3))
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: SelectionPath(n=3, k=1.5),
-        lambda: DyadicPoint(k=1.5, n=3),
-        lambda: pmf_point(2.0, WeaverParams(n=3, p=Fraction(1, 3))),
-        lambda: pmf_point(True, WeaverParams(n=3, p=Fraction(1, 3))),
+        lambda: sampler.run_from_path(3, 1.5, *PARENTS, 0),
+        lambda: cdf_at_dyadic(1.5, 3, THIRD),
+        lambda: cdf_at_dyadic(True, 3, THIRD),
+        lambda: cdf_at_dyadic(9, 3, THIRD),
+        lambda: cdf_at_dyadic(-1, 3, THIRD),
+        lambda: pmf_point(2.0, THIRD),
+        lambda: pmf_point(True, THIRD),
     ],
-    ids=["SelectionPath", "DyadicPoint", "pmf_point", "pmf_point-bool"],
+    ids=[
+        "run_from_path", "cdf_at_dyadic", "cdf_at_dyadic-bool", "cdf_at_dyadic-above",
+        "cdf_at_dyadic-below", "pmf_point", "pmf_point-bool",
+    ],
 )
 def test_non_integer_index_is_a_range_error(call):
-    # rejected where it is given, not as a TypeError in .bits or the cdf walk
+    # rejected where it is given, not as a TypeError in the cdf walk or the
+    # draws, and a leaf or grid index out of its range with it
     with pytest.raises(RangeError, match="integer"):
         call()
 
 
-PARENTS = (point_mass(0.0), point_mass(1.0))
 BAD_SEEDS = (1.5, True, -1)
 BAD_COUNTS = (1.5, True, 0)
 
@@ -143,12 +151,15 @@ BAD_COUNTS = (1.5, True, 0)
     "call",
     [
         lambda: WeaverParams(n=True, p=Fraction(1, 3)),
-        lambda: SelectionPath(n=True, k=0),
+        lambda: sampler.run_from_path(True, 0, *PARENTS, 0),
         lambda: geometric_triangle_row(True),
         lambda: analysis.variance_decomposition(True),
         lambda: sampler.path_ensemble(True, "1/2", 10, seed=0),
-        lambda: SelectionPath(n=1.5, k=0),
-        lambda: DyadicPoint(k=0, n=1.5),
+        lambda: cdf_at_dyadic(0, True, THIRD),
+        lambda: cdf_grid(THIRD, True),
+        lambda: sampler.run_from_path(1.5, 0, *PARENTS, 0),
+        lambda: cdf_at_dyadic(0, 1.5, THIRD),
+        lambda: cdf_grid(THIRD, 1.5),
         lambda: realization_value(0, 1.5),
         lambda: analysis.variance_decomposition(2.5),
         lambda: analysis.pmodel_cell_masses(2.0, "1/2"),
@@ -156,7 +167,8 @@ BAD_COUNTS = (1.5, True, 0)
         lambda: sampler.simulate_mean_ensemble(
             2.0, point_mass(0.0), point_mass(1.0), "1/2", 10, seed=0
         ),
-        lambda: cdf_grid(WeaverParams(n=3, p=Fraction(1, 3)), -1),
+        lambda: cdf_at_dyadic(0, -1, THIRD),
+        lambda: cdf_grid(THIRD, -1),
         # every other integer argument is checked by the same rule
         *(partial(sampler.path_ensemble, 4, "1/2", 10, seed) for seed in BAD_SEEDS),
         *(partial(sampler.path_ensemble, 4, "1/2", reps, 0) for reps in BAD_COUNTS),
@@ -164,15 +176,16 @@ BAD_COUNTS = (1.5, True, 0)
           for seed in BAD_SEEDS),
         *(partial(sampler.simulate_mean_ensemble, 4, *PARENTS, "1/2", reps, 0)
           for reps in BAD_COUNTS),
-        *(partial(analysis.exact_moment, WeaverParams(n=3, p=Fraction(1, 3)), order)
+        *(partial(analysis.exact_moment, THIRD, order)
           for order in BAD_COUNTS),
         *(partial(PARENTS[0].draw, np.random.default_rng(0), size) for size in BAD_SEEDS),
     ],
     ids=[
-        "WeaverParams-bool", "SelectionPath-bool", "triangle-bool", "decomposition-bool",
-        "path_ensemble-bool", "SelectionPath", "DyadicPoint", "realization_value",
-        "decomposition", "pmodel_cell_masses", "draw_selection_path", "simulate_mean_ensemble",
-        "cdf_grid-negative",
+        "WeaverParams-bool", "run_from_path-bool", "triangle-bool", "decomposition-bool",
+        "path_ensemble-bool", "cdf_at_dyadic-bool", "cdf_grid-bool", "run_from_path",
+        "cdf_at_dyadic", "cdf_grid", "realization_value", "decomposition",
+        "pmodel_cell_masses", "draw_selection_path", "simulate_mean_ensemble",
+        "cdf_at_dyadic-negative", "cdf_grid-negative",
         *(
             f"{call}-{case}"
             for call in (
@@ -395,18 +408,21 @@ class TestGeometricTriangle:
 
 
 class TestDyadicPoint:
+    """The grid point k / 2**m, given to the cdf as the two ints k and m."""
+
     def test_bounds(self):
-        DyadicPoint(k=0, n=0)
-        DyadicPoint(k=1, n=0)
-        with pytest.raises(RangeError):
-            DyadicPoint(k=9, n=3)
-        with pytest.raises(RangeError):
-            DyadicPoint(k=-1, n=3)
+        assert (cdf_at_dyadic(0, 0, THIRD), cdf_at_dyadic(1, 0, THIRD)) == (0, 1)
+        for k in (9, -1, True, 1.5):
+            message = rf"^k must be an integer in \[0, 2\*\*3\], got {k}$"
+            with pytest.raises(RangeError, match=message):
+                cdf_at_dyadic(k, 3, THIRD)
+        with pytest.raises(RangeError, match="^resolution must be an integer >= 0, got -1$"):
+            cdf_at_dyadic(0, -1, THIRD)
 
 
 class TestCdf:
-    def brute_cdf(self, point: DyadicPoint, params: WeaverParams) -> Fraction:
-        bound = point.k << (params.n - point.n)
+    def brute_cdf(self, k: int, m: int, params: WeaverParams) -> Fraction:
+        bound = k << (params.n - m)
         return sum(brute_pmf(params.n, params.p)[:bound], Fraction(0))
 
     @pytest.mark.parametrize("p", [Fraction(1, 3), Fraction(2, 3)])
@@ -415,7 +431,7 @@ class TestCdf:
         params = WeaverParams(n=9, p=p)
 
         def F(k, m):
-            return cdf_at_dyadic(DyadicPoint(k=k, n=m), params)
+            return cdf_at_dyadic(k, m, params)
 
         assert F(1, 1) == q
         assert F(1, 2) == q * q
@@ -425,8 +441,18 @@ class TestCdf:
 
     def test_endpoints(self):
         params = WeaverParams(n=6, p=Fraction(1, 5))
-        assert cdf_at_dyadic(DyadicPoint(k=0, n=4), params) == 0
-        assert cdf_at_dyadic(DyadicPoint(k=16, n=4), params) == 1
+        assert cdf_at_dyadic(0, 4, params) == 0
+        assert cdf_at_dyadic(16, 4, params) == 1
+
+    @pytest.mark.parametrize("n, p", [(3, Fraction(1, 2)), (6, Fraction(1, 5))])
+    def test_row_zero_is_not_the_atom_at_zero(self, n, p):
+        # F_n(0) = P(X <= 0) is the atom (1 - p)**n of leaf 0; at k = 0 the
+        # cdf and its grid hold the mass strictly below 0, the limit law's F(0)
+        params = WeaverParams(n=n, p=p)
+        assert pmf_point(0, params) == (1 - p) ** n
+        for m in range(n + 1):
+            assert cdf_at_dyadic(0, m, params) == 0
+            assert next(cdf_grid(params, m)[0]) == 0
 
     @given(
         p=probabilities,
@@ -437,29 +463,27 @@ class TestCdf:
         m = data.draw(st.integers(min_value=0, max_value=n), label="resolution")
         k = data.draw(st.integers(min_value=0, max_value=1 << m), label="grid index")
         params = WeaverParams(n=n, p=p)
-        point = DyadicPoint(k=k, n=m)
-        assert cdf_at_dyadic(point, params) == self.brute_cdf(point, params)
+        assert cdf_at_dyadic(k, m, params) == self.brute_cdf(k, m, params)
 
     @given(p=probabilities, m=st.integers(min_value=0, max_value=6), data=st.data())
     def test_stable_under_refinement(self, p, m, data):
         k = data.draw(st.integers(min_value=0, max_value=1 << m), label="grid index")
-        point = DyadicPoint(k=k, n=m)
         depth0 = max(m, 1)
         values = {
-            cdf_at_dyadic(point, WeaverParams(n=depth0 + extra, p=p)) for extra in (0, 1, 3, 5)
+            cdf_at_dyadic(k, m, WeaverParams(n=depth0 + extra, p=p)) for extra in (0, 1, 3, 5)
         }
         assert len(values) == 1
 
     def test_monotone_in_grid(self):
         params = WeaverParams(n=8, p=Fraction(3, 11))
-        values = [cdf_at_dyadic(DyadicPoint(k=k, n=8), params) for k in range(257)]
+        values = [cdf_at_dyadic(k, 8, params) for k in range(257)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_unstable_resolution_rejected(self):
         params = WeaverParams(n=3, p=Fraction(1, 2))
         with pytest.raises(RangeError, match="^resolution 4 exceeds construction depth 3; "
                            "the value is not yet stable$"):
-            cdf_at_dyadic(DyadicPoint(k=1, n=4), params)
+            cdf_at_dyadic(1, 4, params)
 
 
 class TestCdfGrid:
@@ -471,7 +495,7 @@ class TestCdfGrid:
         params = WeaverParams(n=n, p=p)
         sums, den = cdf_grid(params, m)
         assert [Fraction(s, den) for s in sums] == [
-            cdf_at_dyadic(DyadicPoint(k=k, n=m), params) for k in range((1 << m) + 1)
+            cdf_at_dyadic(k, m, params) for k in range((1 << m) + 1)
         ]
 
     @given(p=probabilities, n=st.integers(min_value=1, max_value=8), data=st.data())
@@ -481,7 +505,7 @@ class TestCdfGrid:
         sums, den = cdf_grid(params, m)
         grid = [Fraction(s, den) for s in sums]
         assert len(grid) == (1 << m) + 1
-        assert grid == [cdf_at_dyadic(DyadicPoint(k=k, n=m), params) for k in range(len(grid))]
+        assert grid == [cdf_at_dyadic(k, m, params) for k in range(len(grid))]
 
     @pytest.mark.parametrize(
         "p", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(5, 7), Fraction(1, 1000)]
@@ -493,9 +517,7 @@ class TestCdfGrid:
         params = WeaverParams(n=max(m, 1), p=p)
         d = p.denominator
         for k in range((1 << m) + 1):
-            assert Fraction(exact._cdf_numerator(p, m, k), d**m) == cdf_at_dyadic(
-                DyadicPoint(k=k, n=m), params
-            ), k
+            assert Fraction(exact._cdf_numerator(p, m, k), d**m) == cdf_at_dyadic(k, m, params), k
 
     @pytest.mark.parametrize("p", [Fraction(1, 3), Fraction(5, 7)])
     @pytest.mark.parametrize("n, m", [(1, 1), (6, 6), (9, 4)])
@@ -579,6 +601,6 @@ def test_oracles_reach_no_kernel(monkeypatch):
     with pytest.raises(RuntimeError, match="kernel"):  # the patch is in effect
         build_pmf_vector(params)
     assert pmf_point(5, params) == p**2 * (1 - p)
-    assert cdf_at_dyadic(DyadicPoint(k=3, n=2), params) == 1 - p * p
+    assert cdf_at_dyadic(3, 2, params) == 1 - p * p
     assert geometric_triangle_row(3) == [0, 1, 1, 2, 1, 2, 2, 3]
     assert analysis.pmodel_cell_masses(3, p)[5] == p**2 * (1 - p)

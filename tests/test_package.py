@@ -18,7 +18,7 @@ import pytest
 import weaver
 from weaver.analysis import DecompositionRow
 from weaver.errors import RangeError
-from weaver.exact import DyadicPoint, SelectionPath, WeaverDist, WeaverParams
+from weaver.exact import WeaverDist, WeaverParams
 from weaver.parents import ParentDistribution
 from weaver.sampler import MomentReport, SampleRun
 
@@ -149,12 +149,10 @@ class TestStartup:
 _RECORDS = [
     (WeaverParams, {"n": 3, "p": Fraction(1, 3)}, "WeaverParams(n=3, p=Fraction(1, 3))",
      [{"n": 0}, {"n": True}, {"p": Fraction(1)}, {"p": "abc"}]),
-    (SelectionPath, {"n": 3, "k": 5}, "SelectionPath(n=3, k=5)", [{"k": 8}, {"n": 2}, {"n": 0}]),
     (WeaverDist,
      {"params": WeaverParams(n=1, p=Fraction(1, 2)), "pmf": (Fraction(1, 2), Fraction(1, 2))},
      "WeaverDist(params=WeaverParams(n=1, p=Fraction(1, 2)), "
      "pmf=(Fraction(1, 2), Fraction(1, 2)))", []),
-    (DyadicPoint, {"k": 3, "n": 3}, "DyadicPoint(k=3, n=3)", [{"k": 9}, {"k": -1}, {"n": 1}]),
     (DecompositionRow,
      {"n": 2, "denom": 9, "weaving": 5, "merging": 4,
       "weaving_share": Fraction(5, 9), "merging_share": Fraction(4, 9)},
@@ -165,9 +163,9 @@ _RECORDS = [
      [{"scale": float("inf")}, {"shift": float("nan")}, {"params": (0.0, -1.0)},
       {"params": (0.0,)}, {"family": "cauchy"}]),
     (SampleRun,
-     {"n": 1, "path": SelectionPath(n=1, k=1), "parent_sums": (0.0, 1.0), "total": 1.0,
-      "mean": 1.0, "conditional_mean": Fraction(1)},
-     "SampleRun(n=1, path=SelectionPath(n=1, k=1), parent_sums=(0.0, 1.0), total=1.0, mean=1.0, "
+     {"n": 1, "k": 1, "parent_sums": (0.0, 1.0), "total": 1.0, "mean": 1.0,
+      "conditional_mean": Fraction(1)},
+     "SampleRun(n=1, k=1, parent_sums=(0.0, 1.0), total=1.0, mean=1.0, "
      "conditional_mean=Fraction(1, 1))", []),
     (MomentReport,
      {"replications": 100, "empirical_mean": 0.5, "empirical_variance": 0.25,
@@ -290,10 +288,9 @@ class TestPublicSurface:
 
     SURFACE = {
         "exact": {
-            "MATERIALIZATION_CAP", "WeaverParams", "SelectionPath",
-            "WeaverDist", "DyadicPoint", "realization_value", "pmf_point", "pmf_point_log2",
-            "build_pmf_vector", "geometric_triangle_row", "cdf_at_dyadic", "cdf_grid",
-            "jump_spectrum",
+            "MATERIALIZATION_CAP", "WeaverParams", "WeaverDist", "realization_value",
+            "pmf_point", "pmf_point_log2", "build_pmf_vector", "geometric_triangle_row",
+            "cdf_at_dyadic", "cdf_grid", "jump_spectrum",
         },
         "analysis": {
             "DecompositionRow", "exact_variance", "exact_moment", "variance_decomposition",

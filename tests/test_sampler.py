@@ -12,7 +12,7 @@ import scipy.stats
 
 from weaver import analysis, sampler
 from weaver.errors import CapacityError, RangeError
-from weaver.exact import SelectionPath, WeaverParams, pmf_point
+from weaver.exact import WeaverParams, pmf_point
 from weaver.parents import (
     ParentDistribution,
     _parse_spec,
@@ -85,8 +85,15 @@ class TestParents:
             ("point-mass", (1.0, 2.0), r"point-mass takes 1 parameter\(s\), got 2"),
             ("bernoulli", (), r"bernoulli takes 1 parameter\(s\), got 0"),
             ("uniform-interval", (2.0, 1.0), r"needs a < b, got \(2.0, 1.0\)"),
+            # not the bare ValueError or TypeError of float()
+            ("gaussian", ("a", 1.0), "^cannot interpret 'a' as a float$"),
+            ("gaussian", (None, 1.0), "^cannot interpret None as a float$"),
+            ("gaussian", (0.0, [1]), r"^cannot interpret \[1\] as a float$"),
         ],
-        ids=["bernoulli-q", "gauss-variance", "point-count", "bernoulli-count", "uniform-order"],
+        ids=[
+            "bernoulli-q", "gauss-variance", "point-count", "bernoulli-count", "uniform-order",
+            "gauss-str", "gauss-none", "gauss-list",
+        ],
     )
     def test_direct_construction_is_validated(self, family, params, message):
         with pytest.raises(RangeError, match=message):
@@ -148,6 +155,8 @@ class TestParents:
         record = ParentDistribution("uniform-interval", (-1, 2), scale=3, shift=0)
         assert record == uniform_interval(-1.0, 2.0)._replace(scale=3.0)
         assert {type(value) for value in (*record.params, record.scale, record.shift)} == {float}
+        # any value that float() reads is read
+        assert ParentDistribution("gaussian", ("0.5", True)) == gaussian(0.5, 1.0)
 
     def test_params_list_is_stored_as_a_tuple(self):
         params = [0.0, 1.0]
@@ -275,6 +284,8 @@ class TestSelectionSampling:
         a = sampler.draw_selection_path(12, Fraction(1, 3), 99)
         b = sampler.draw_selection_path(12, Fraction(1, 3), 99)
         assert a == b
+        # the leaf index itself, a plain int: replication 0 of the ensemble
+        assert type(a) is int and a == sampler.path_ensemble(12, Fraction(1, 3), 1, 99)[0]
 
     def test_threshold_is_exact_for_dyadic_p(self):
         assert sampler._selection_threshold(Fraction(1, 2)) == 1 << 127
@@ -283,8 +294,8 @@ class TestSelectionSampling:
     def test_extreme_p_biases_bits(self):
         near_one = sampler.draw_selection_path(40, Fraction(999, 1000), 0)
         near_zero = sampler.draw_selection_path(40, Fraction(1, 1000), 0)
-        assert near_one.k.bit_count() > 30
-        assert near_zero.k.bit_count() < 10
+        assert near_one.bit_count() > 30
+        assert near_zero.bit_count() < 10
 
     def test_path_cap(self):
         sampler.draw_selection_path(63, Fraction(1, 2), 5)
@@ -292,8 +303,7 @@ class TestSelectionSampling:
             sampler.draw_selection_path(64, Fraction(1, 2), 5)
 
     def test_conditional_mean(self):
-        path = SelectionPath(n=6, k=44)
-        assert sampler.run_from_path(path, *STANDARD, 0).conditional_mean == Fraction(44, 63)
+        assert sampler.run_from_path(6, 44, *STANDARD, 0).conditional_mean == Fraction(44, 63)
 
     def test_bit_marginals(self):
         # each selection is Bernoulli(p) marginally
@@ -318,9 +328,9 @@ class TestRuns:
     def test_point_mass_run_is_exact(self):
         # unit point masses make every observation equal its selection bit
         run = sampler.run_exponential_sample(6, *STANDARD, Fraction(2, 5), 7)
-        assert run.total == run.path.k
+        assert run.total == run.k
         assert run.mean == pytest.approx(float(run.conditional_mean))
-        assert run.conditional_mean == Fraction(run.path.k, 63)
+        assert run.conditional_mean == Fraction(run.k, 63)
 
     @staticmethod
     def record_parent_sums(monkeypatch):
@@ -352,10 +362,21 @@ class TestRuns:
     def test_run_asks_each_parent_for_its_leaf_count(self, monkeypatch, k):
         h0, h1 = STANDARD
         calls = self.record_parent_sums(monkeypatch)
-        run = sampler.run_from_path(SelectionPath(5, k), h0, h1, seed=4)
+        run = sampler.run_from_path(5, k, h0, h1, seed=4)
         assert calls == [(h0, [31 - k]), (h1, [k])]
         assert run.parent_sums == (0.0, float(k))
         assert run.total == run.parent_sums[0] + run.parent_sums[1]
+
+    @pytest.mark.parametrize("k", ["2**n", -1, True, 1.5], ids=str)
+    def test_bad_leaf_index_refused_before_any_draw(self, monkeypatch, k):
+        # before the raw draw cap (n = 40) and the parents (unstandardized)
+        calls = self.record_parent_sums(monkeypatch)
+        unstandardized = (point_mass(0.0), point_mass(2.0))
+        for n, parents in ((5, STANDARD), (5, unstandardized), (40, STANDARD)):
+            bad = 1 << n if k == "2**n" else k
+            with refused(f"leaf index must be an integer in [0, 2**{n} - 1], got {bad!r}"):
+                sampler.run_from_path(n, bad, *parents, seed=0)
+        assert calls == []
 
     @pytest.mark.parametrize(
         ("pair", "n"),
@@ -368,7 +389,7 @@ class TestRuns:
         h0, h1 = PAIRS[pair]
         top = (1 << n) - 1
         for k, empty in ((0, 1), (top, 0)):
-            run = sampler.run_from_path(SelectionPath(n, k), h0, h1, seed=5)
+            run = sampler.run_from_path(n, k, h0, h1, seed=5)
             assert run.parent_sums[empty] == 0.0
             assert run.total == run.parent_sums[1 - empty]
             assert math.isfinite(run.total)
@@ -386,12 +407,13 @@ class TestRuns:
         p = Fraction(2, 5)
         run = sampler.run_exponential_sample(n, h0, h1, p, seed)
         for replications in (1, 3):
-            assert run.path.k == sampler.path_ensemble(n, p, replications, seed)[0]
+            assert run.k == sampler.path_ensemble(n, p, replications, seed)[0]
             means = sampler.simulate_mean_ensemble(n, h0, h1, p, replications, seed)
             assert run.mean == means[0]
         assert run.total == run.parent_sums[0] + run.parent_sums[1]
-        assert sampler.draw_selection_path(n, p, seed) == run.path
-        assert sampler.run_from_path(run.path, h0, h1, seed) == run
+        assert run.n == n and type(run.k) is int
+        assert sampler.draw_selection_path(n, p, seed) == run.k
+        assert sampler.run_from_path(run.n, run.k, h0, h1, seed) == run
 
     def test_unstandardized_parents_rejected(self):
         with refused(UNSTANDARDIZED):
@@ -413,9 +435,8 @@ class TestRuns:
             sampler.run_exponential_sample(31, *STANDARD, Fraction(1, 2), 0)
 
     def test_raw_draw_cap_on_a_fixed_path(self):
-        path = SelectionPath(n=40, k=5)
         with pytest.raises(CapacityError):
-            sampler.run_from_path(path, *STANDARD, 0)
+            sampler.run_from_path(40, 5, *STANDARD, 0)
 
 
 class TestMonteCarlo:
@@ -641,7 +662,7 @@ class TestChunkedStreams:
             lambda seed: sampler.simulate_mean_ensemble(4, *STANDARD, "1/2", 10, seed),
             lambda seed: sampler.draw_selection_path(4, "1/2", seed),
             lambda seed: sampler.run_exponential_sample(4, *STANDARD, "1/2", seed),
-            lambda seed: sampler.run_from_path(SelectionPath(n=4, k=5), *STANDARD, seed),
+            lambda seed: sampler.run_from_path(4, 5, *STANDARD, seed),
         ],
         ids=["paths", "means", "path", "run", "run-from-path"],
     )
